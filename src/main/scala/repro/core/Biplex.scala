@@ -94,28 +94,37 @@ object Biplex {
   }
 
   /** Does some right vertex outside R extend (L, R) to a larger k-biplex?
-    *
-    * This is the right-shrinking test of Algorithm 2 line 7, done without
-    * scanning the whole right universe: an addable u must (a) connect every
-    * saturated left vertex and (b) have δ̄(u,L) ≤ k.
+    * This is the right-shrinking test of Algorithm 2 line 7.
     */
-  def existsAddableRight(g: BipartiteGraph, k: Int, l: Array[Int], r: Array[Int]): Boolean = {
-    if (r.length == g.nR) return false
-    val sat = saturatedL(g, k, l, r)
+  def existsAddableRight(g: BipartiteGraph, k: Int, l: Array[Int], r: Array[Int]): Boolean =
+    r.length < g.nR && searchAddableRight(g, k, l, r, saturatedL(g, k, l, r))
+
+  /** [[existsAddableRight]] given `sat`, the members of L with δ̄(v,R) = k,
+    * done without scanning the whole right universe: an addable u must
+    * (a) connect every saturated left vertex and (b) have δ̄(u,L) ≤ k.
+    * R must not be the whole right side.
+    */
+  private[core] def searchAddableRight(
+      g: BipartiteGraph,
+      k: Int,
+      l: Array[Int],
+      r: Array[Int],
+      sat: Array[Int],
+  ): Boolean = {
     if (sat.nonEmpty) {
-      // u must be a common neighbour of every saturated left vertex.
-      val lists = new Array[Array[Int]](sat.length)
-      var i = 0
-      while (i < sat.length) { lists(i) = g.adjL(sat(i)); i += 1 }
-      atLeastCount(lists, sat.length).exists(u =>
-        !VertexSets.contains(r, u) && dbarR(g, u, l) <= k)
+      // Candidates must be common neighbours of sat: scan the smallest list.
+      var w0 = sat(0)
+      var s = 1
+      while (s < sat.length) { if (g.degL(sat(s)) < g.degL(w0)) w0 = sat(s); s += 1 }
+      g.adjL(w0).exists { u =>
+        !VertexSets.contains(r, u) && sat.forall(w => g.hasEdge(w, u)) && dbarR(g, u, l) <= k
+      }
     } else if (l.length > k) {
-      // u needs at least |L| - k neighbours in L, so it neighbours L.
+      // u needs at least |L| - k neighbours in L, which also gives (b).
       val lists = new Array[Array[Int]](l.length)
       var i = 0
       while (i < l.length) { lists(i) = g.adjL(l(i)); i += 1 }
-      atLeastCount(lists, l.length - k).exists(u =>
-        !VertexSets.contains(r, u) && dbarR(g, u, l) <= k)
+      atLeastCount(lists, l.length - k).exists(u => !VertexSets.contains(r, u))
     } else {
       // |L| <= k and no saturated left vertex: any outside u is addable.
       true
@@ -136,11 +145,11 @@ object Biplex {
     *
     * Adds vertices in ascending id order — left side first, then (iff
     * `leftOnly` is false) the right side. Left vertices for which
-    * `deferLeft` holds are tried only after all others (the exclusion
-    * strategy prefers extensions that avoid excluded vertices). Because
-    * addability is monotone non-increasing as the solution grows, one pass
-    * per group yields a maximal result; `leftOnly` extensions preserve R
-    * exactly (right-shrinking traversal, Algorithm 2 line 8).
+    * `deferLeft` holds are tried only after all other left vertices (the
+    * exclusion strategy prefers extensions that avoid excluded vertices).
+    * Because addability is monotone non-increasing as the solution grows,
+    * one pass per group yields a maximal result; `leftOnly` extensions
+    * preserve R exactly (right-shrinking traversal, Algorithm 2 line 8).
     */
   def extend(
       g: BipartiteGraph,
@@ -150,18 +159,11 @@ object Biplex {
       leftOnly: Boolean,
       deferLeft: Option[Int => Boolean] = None,
   ): Solution = {
-    var l = l0
-    var r = r0
-    deferLeft match {
-      case None =>
-        l = extendLeftPass(g, k, l, r, _ => true)
-        if (!leftOnly) r = extendLeftPass(g.flipped, k, r, l, _ => true)
-      case Some(d) =>
-        l = extendLeftPass(g, k, l, r, v => !d(v))
-        if (!leftOnly) r = extendLeftPass(g.flipped, k, r, l, _ => true)
-        l = extendLeftPass(g, k, l, r, d)
-        if (!leftOnly) r = extendLeftPass(g.flipped, k, r, l, _ => true)
+    val l = deferLeft match {
+      case None    => extendLeftPass(g, k, l0, r0, _ => true)
+      case Some(d) => extendLeftPass(g, k, extendLeftPass(g, k, l0, r0, v => !d(v)), r0, d)
     }
+    val r = if (leftOnly) r0 else extendLeftPass(g.flipped, k, r0, l, _ => true)
     Solution(l, r)
   }
 

@@ -18,15 +18,35 @@ final case class EnumStats(
     millis: Long,
 )
 
+/** Sparsification level of the traversal. The paper's techniques stack:
+  * right-shrinking traversal (Section 3.4) is built on left-anchored
+  * traversal (Section 3.3), and the exclusion strategy (Section 3.5) on
+  * both, so a level enables itself and every level of lower rank.
+  */
+sealed abstract class Technique(val rank: Int) extends Ordered[Technique] {
+  def compare(that: Technique): Int = rank - that.rank
+}
+
+object Technique {
+  /** No sparsification: Algorithm 1 (bTraversal). */
+  case object Basic extends Technique(0)
+  /** Start from H0 = (L0, R_all) and seed almost-satisfying graphs with
+    * left vertices only.
+    */
+  case object LeftAnchored extends Technique(1)
+  /** Discard local solutions that still admit a right vertex and extend
+    * with left vertices only.
+    */
+  case object RightShrinking extends Technique(2)
+  /** Prune links toward solutions containing a vertex of the exclusion set
+    * (Algorithm 2, iTraversal).
+    */
+  case object Exclusion extends Technique(3)
+}
+
 /** Configuration of the reverse-search engine.
   *
-  * @param leftAnchored  start from H0 = (L0, R_all) and seed almost-satisfying
-  *                      graphs with left vertices only (Section 3.3)
-  * @param rightShrinking discard local solutions that still admit a right
-  *                      vertex and extend with left vertices only (Section 3.4)
-  * @param exclusion     prune links toward solutions containing a vertex of
-  *                      the exclusion set (Section 3.5); requires leftAnchored
-  * @param inheritExclusion child nodes inherit the parent's exclusion set
+  * @param technique     sparsification level (see [[Technique]])
   * @param eas           EnumAlmostSat implementation (Section 4)
   * @param theta         large-MBP mode (θL, θR): report only solutions with
   *                      |L| >= θL and |R| >= θR and apply the Section-5
@@ -43,34 +63,31 @@ final case class EnumStats(
   *                      implementation reaches billion-edge graphs.
   */
 final case class TraversalConfig(
-    leftAnchored: Boolean,
-    rightShrinking: Boolean,
-    exclusion: Boolean,
-    inheritExclusion: Boolean = true,
+    technique: Technique,
     eas: EnumAlmostSat.Variant = EnumAlmostSat.L20R20,
     theta: Option[(Int, Int)] = None,
     twoHopSeeds: Boolean = false,
 ) {
-  require(!exclusion || leftAnchored, "exclusion strategy requires left-anchored traversal")
   require(theta.isEmpty || rightShrinking, "size-constrained mode requires right-shrinking traversal")
+
+  def leftAnchored: Boolean = technique >= Technique.LeftAnchored
+  def rightShrinking: Boolean = technique >= Technique.RightShrinking
+  def exclusion: Boolean = technique >= Technique.Exclusion
 }
 
 object TraversalConfig {
   /** Algorithm 1 with the inflation-based EnumAlmostSat (paper's bTraversal). */
   val bTraversal: TraversalConfig =
-    TraversalConfig(leftAnchored = false, rightShrinking = false, exclusion = false,
-      eas = EnumAlmostSat.Inflated)
+    TraversalConfig(Technique.Basic, eas = EnumAlmostSat.Inflated)
 
   /** Algorithm 2, all three techniques (paper's iTraversal). */
-  val iTraversal: TraversalConfig =
-    TraversalConfig(leftAnchored = true, rightShrinking = true, exclusion = true)
+  val iTraversal: TraversalConfig = TraversalConfig(Technique.Exclusion)
 
   /** iTraversal without the exclusion strategy. */
-  val iTraversalNoES: TraversalConfig = iTraversal.copy(exclusion = false)
+  val iTraversalNoES: TraversalConfig = iTraversal.copy(technique = Technique.RightShrinking)
 
   /** iTraversal without exclusion and right-shrinking (left-anchored only). */
-  val iTraversalNoESNoRS: TraversalConfig =
-    iTraversal.copy(exclusion = false, rightShrinking = false)
+  val iTraversalNoESNoRS: TraversalConfig = iTraversal.copy(technique = Technique.LeftAnchored)
 }
 
 /** Reverse-search enumeration of maximal k-biplexes: a DFS over the implicit
@@ -80,15 +97,15 @@ object TraversalConfig {
 object ReverseSearch {
 
   /** Restriction of the root expansion — used by the distributed runner to
-    * ship one root-level subtree per task.
+    * ship one root-level subtree per task. A restricted run does not report
+    * H0 itself.
     *
     * @param seeds     left seeds to process at the root (deeper levels are
     *                  unrestricted)
     * @param exclusion initial exclusion set (the snapshot the sequential
     *                  run would have had when reaching the first seed)
-    * @param emitRoot  whether H0 itself is reported
     */
-  final case class RootRestrict(seeds: Array[Int], exclusion: Array[Int], emitRoot: Boolean)
+  final case class RootRestrict(seeds: Array[Int], exclusion: Array[Int])
 
   /** Enumerate maximal k-biplexes of g.
     *
@@ -139,33 +156,25 @@ object ReverseSearch {
       // Disconnection structures of (l, r), shared by every seed's
       // EnumAlmostSat call (one ThreeStep = one solution).
       lazy val ctx = EnumAlmostSat.buildCtx(g, l, r)
-      var curSeed = -1 // current left seed, for the fast line-7 check
 
-      // `lFull`/`rPrime` are always in original orientation (left, right);
-      // for right-side seeds the extension runs on the flipped graph.
-      def handleLocal(lFull: Array[Int], rPrime: Array[Int], flippedSeed: Boolean): Boolean = {
+      /** Local solution (lFull, rPrime) of the almost-satisfying graph
+        * seeded by left vertex v.
+        */
+      def handleLocal(v: Int, lFull: Array[Int], rPrime: Array[Int]): Boolean = {
         if (timeUp()) return false
         // Right-shrinking traversal (Algorithm 2 line 7): drop local
         // solutions that still admit a vertex from the right universe.
-        // Fast path: when the seed v is saturated (δ̄(v,R') = k), every
-        // right vertex outside R' that disconnects v is blocked by v, so
-        // only Γ(v) \ R' needs checking.
-        if (cfg.rightShrinking) {
-          val admits =
-            if (curSeed >= 0) admitsRightVertex(g, k, ctx, curSeed, lFull, rPrime)
-            else Biplex.existsAddableRight(g, k, lFull, rPrime)
-          if (admits) return true
-        }
+        if (cfg.rightShrinking && admitsRightVertex(g, k, ctx, v, lFull, rPrime)) return true
         if (cfg.exclusion && intersects(lFull, xCur)) return true
-        val ext =
-          if (flippedSeed)
-            Biplex.extend(g.flipped, k, rPrime, lFull, leftOnly = false).flip
-          else
-            Biplex.extend(
-              g, k, lFull, rPrime,
-              leftOnly = cfg.rightShrinking,
-              deferLeft = if (cfg.exclusion && xCur.nonEmpty) Some(xv => VertexSets.contains(xCur, xv)) else None,
-            )
+        follow(Biplex.extend(
+          g, k, lFull, rPrime,
+          leftOnly = cfg.rightShrinking,
+          deferLeft = if (cfg.exclusion && xCur.nonEmpty) Some(xv => VertexSets.contains(xCur, xv)) else None,
+        ))
+      }
+
+      /** Traverse the link toward the extended solution ext. */
+      def follow(ext: Solution): Boolean = {
         links += 1
         if (cfg.exclusion && intersects(ext.left, xCur)) return true
         val key = ext.key(g.nL)
@@ -198,20 +207,20 @@ object ReverseSearch {
             VertexSets.intersectCount(g.adjL(v), r) + k < thetaR
           if (!skip) {
             easCalls += 1
-            curSeed = v
             ok = EnumAlmostSat.run(
               g, k, l, r, v, cfg.eas,
-              emit = (lf, rp) => handleLocal(lf, rp, flippedSeed = false),
+              emit = (lf, rp) => handleLocal(v, lf, rp),
               minRight = thetaR,
               deadlineNanos = deadlineNanos,
               ctx = if (cfg.eas == EnumAlmostSat.Inflated) null else ctx,
             )
-            curSeed = -1
           }
           if (ok && cfg.exclusion) xCur = VertexSets.add(xCur, v)
         }
       }
       // Right-side seeds (bTraversal only; pruned by left-anchored traversal).
+      // The extension runs on the flipped graph; no right-shrinking or
+      // exclusion test applies at this level.
       if (ok && !cfg.leftAnchored) {
         val fg = g.flipped
         val rightSeeds = (0 until g.nR).iterator.filter(u => !VertexSets.contains(r, u))
@@ -222,7 +231,7 @@ object ReverseSearch {
             easCalls += 1
             ok = EnumAlmostSat.run(
               fg, k, r, l, u, cfg.eas,
-              emit = (rf, lp) => handleLocal(lp, rf, flippedSeed = true),
+              emit = (rf, lp) => !timeUp() && follow(Biplex.extend(fg, k, rf, lp, leftOnly = false).flip),
               deadlineNanos = deadlineNanos,
             )
           }
@@ -239,9 +248,7 @@ object ReverseSearch {
       case None =>
         if (report(h0)) expand(h0.left, h0.right, VertexSets.empty)
       case Some(rr) =>
-        val proceed = if (rr.emitRoot) report(h0) else true
-        if (proceed)
-          expand(h0.left, h0.right, rr.exclusion, v => VertexSets.contains(rr.seeds, v))
+        expand(h0.left, h0.right, rr.exclusion, v => VertexSets.contains(rr.seeds, v))
     }
     // A deadline that fired inside EnumAlmostSat short-circuits without
     // passing through timeUp(); catch it here.
@@ -276,14 +283,11 @@ object ReverseSearch {
   /** Right-shrinking test (Algorithm 2 line 7) for a local solution
     * (lFull = L' ∪ {v}, rPrime) of the node whose context is `ctx`:
     * does some u ∈ R_universe \ rPrime extend it to a k-biplex?
-    *
-    * Vertices of R \ R' are never addable (the local solution is locally
-    * maximal), so only the saturation structure matters: an addable u must
-    * connect every saturated member of lFull and have δ̄(u, lFull) ≤ k.
-    * Saturation is read from ctx's ≤k-sized non-neighbour lists instead of
-    * recomputed, which keeps this O(|L'|·k·log + Σdeg·log).
+    * Same predicate as [[Biplex.existsAddableRight]], but the saturated
+    * members of lFull are read from ctx's ≤k-sized non-neighbour lists
+    * instead of recomputed, which keeps this O(|L'|·k·log + Σdeg·log).
     */
-  private def admitsRightVertex(
+  private[core] def admitsRightVertex(
       g: BipartiteGraph,
       k: Int,
       ctx: EnumAlmostSat.SolutionCtx,
@@ -312,22 +316,7 @@ object ReverseSearch {
       if (d == k) sat = VertexSets.add(sat, w)
       i += 1
     }
-    if (sat.nonEmpty) {
-      // Candidates must be common neighbours of sat: scan the smallest list.
-      var w0 = sat(0)
-      var s = 1
-      while (s < sat.length) { if (g.degL(sat(s)) < g.degL(w0)) w0 = sat(s); s += 1 }
-      g.adjL(w0).exists { u =>
-        !VertexSets.contains(rPrime, u) &&
-        sat.forall(w => g.hasEdge(w, u)) &&
-        lFull.length - VertexSets.intersectCount(g.adjR(u), lFull) <= k
-      }
-    } else if (lFull.length > k) {
-      val lists = new Array[Array[Int]](lFull.length)
-      i = 0
-      while (i < lFull.length) { lists(i) = g.adjL(lFull(i)); i += 1 }
-      Biplex.atLeastCount(lists, lFull.length - k).exists(u => !VertexSets.contains(rPrime, u))
-    } else true
+    Biplex.searchAddableRight(g, k, lFull, rPrime, sat)
   }
 }
 

@@ -6,10 +6,10 @@ import org.apache.spark.sql.functions._
 /** Distributed (α,β)-core decomposition by iterative degree peeling over
   * edge DataFrames.
   *
-  * Used as the `(θ−k)`-core pre-reduction of the large-MBP pipeline on
-  * graphs that do not fit comfortably on the driver, and by the case study
-  * ((α,β)-core detection). Semantics match
-  * [[repro.core.CoreReduction.alphaBetaCore]], which the tests assert.
+  * The DataFrame counterpart of [[repro.core.CoreReduction.alphaBetaCore]]
+  * for edge lists that do not fit comfortably on the driver; the large-MBP
+  * pipeline and the case study run the local implementation. Semantics
+  * match the local one, which the tests assert.
   */
 object CoreDecomposition {
 

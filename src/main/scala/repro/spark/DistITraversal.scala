@@ -36,7 +36,6 @@ object DistITraversal {
       k: Int,
       eas: EnumAlmostSat.Variant = EnumAlmostSat.L20R20,
       maxPerTask: Int = 0,
-      parallelism: Int = 0,
   ): DataFrame = {
     import spark.implicits._
     val cfg = TraversalConfig.iTraversal.copy(eas = eas)
@@ -47,9 +46,9 @@ object DistITraversal {
     val tasks = seeds.zipWithIndex.map { case (v, i) => (v, seeds.take(i)) }
 
     val bcG = spark.sparkContext.broadcast(g)
-    val slices = if (parallelism > 0) parallelism else spark.sparkContext.defaultParallelism
+    val slices = math.max(1, math.min(spark.sparkContext.defaultParallelism, tasks.length))
     val found = spark.sparkContext
-      .parallelize(tasks.toIndexedSeq, math.max(1, math.min(slices, math.max(1, tasks.length))))
+      .parallelize(tasks.toIndexedSeq, slices)
       .flatMap { case (seed, exclusion) =>
         val graph = bcG.value
         val out = mutable.ArrayBuffer.empty[(Seq[Int], Seq[Int])]
@@ -61,7 +60,7 @@ object DistITraversal {
             n += 1
             maxPerTask <= 0 || n < maxPerTask
           },
-          rootRestrict = Some(ReverseSearch.RootRestrict(Array(seed), exclusion, emitRoot = false)),
+          rootRestrict = Some(ReverseSearch.RootRestrict(Array(seed), exclusion)),
         )
         out
       }

@@ -51,6 +51,28 @@ class BiplexSpec extends SparkSpec {
     }
   }
 
+  test("existsAddableRight matches a scan of addableR on sub-biplexes of MBPs") {
+    // Sub-biplexes of maximal ones reach all three branches of the search:
+    // a saturated left vertex, none with |L| > k, and |L| <= k.
+    val rnd = new Random(1200)
+    val branches = Array(0, 0, 0)
+    for (k <- 0 to 2; (g, seed) <- TestGraphs.smallBatch(40, maxSide = 6, seed = 1250 + k);
+         s <- BruteForce.maximalKBiplexes(g, k).toSeq.sortBy(_.toString)) {
+      val l = s.left.filter(_ => rnd.nextInt(3) > 0)
+      val r = s.right.filter(_ => rnd.nextInt(3) > 0)
+      val scan = (0 until g.nR).exists(u => !VertexSets.contains(r, u) && Biplex.addableR(g, k, u, l, r))
+      assert(Biplex.existsAddableRight(g, k, l, r) == scan, s"seed $seed k=$k L=${l.toSeq} R=${r.toSeq}")
+      if (r.length < g.nR) {
+        val branch =
+          if (Biplex.saturatedL(g, k, l, r).nonEmpty) 0
+          else if (l.length > k) 1
+          else 2
+        branches(branch) += 1
+      }
+    }
+    assert(branches.forall(_ > 0), s"branch counts ${branches.toSeq}")
+  }
+
   for (k <- 0 to 2) {
     test(s"extend produces maximal k-biplexes (k=$k)") {
       for ((g, seed) <- TestGraphs.smallBatch(40, maxSide = 6, seed = 700 + k)) {

@@ -77,6 +77,22 @@ class EnumAlmostSatSpec extends SparkSpec {
     }
   }
 
+  for (k <- 1 to 2) {
+    test(s"admitsRightVertex agrees with Biplex.existsAddableRight on local solutions (k=$k)") {
+      var checked = 0
+      for ((g, l, r, v, seed) <- cases(k, 3900 + k)) {
+        val ctx = EnumAlmostSat.buildCtx(g, l, r)
+        EnumAlmostSat.run(g, k, l, r, v, EnumAlmostSat.L20R20, (lf, rp) => {
+          assert(ReverseSearch.admitsRightVertex(g, k, ctx, v, lf, rp) ==
+            Biplex.existsAddableRight(g, k, lf, rp), s"seed $seed v=$v L'=${lf.toSeq} R'=${rp.toSeq}")
+          checked += 1
+          true
+        }, ctx = ctx)
+      }
+      assert(checked > 0)
+    }
+  }
+
   test("every emitted local solution contains v and is a k-biplex") {
     for ((g, l, r, v, seed) <- cases(2, 3600)) {
       EnumAlmostSat.run(g, 2, l, r, v, EnumAlmostSat.L20R20, (lf, rp) => {

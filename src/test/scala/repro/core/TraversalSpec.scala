@@ -3,7 +3,7 @@ package repro.core
 import repro.{SparkSpec, TestGraphs}
 import repro.graph.BipartiteGraph
 
-/** bTraversal and every iTraversal technique combination against brute
+/** bTraversal and every iTraversal technique level against brute
   * force — the central correctness test of the reproduction. The exclusion
   * strategy's correctness for iTraversal (whose proof lives in the paper's
   * unavailable technical report) is established here empirically over
@@ -19,7 +19,6 @@ class TraversalSpec extends SparkSpec {
     "iTraversal"           -> (_ => TraversalConfig.iTraversal),
     "iTraversal(L10R10)"   -> (_ => TraversalConfig.iTraversal.copy(eas = EnumAlmostSat.L10R10)),
     "iTraversal(Inflated)" -> (_ => TraversalConfig.iTraversal.copy(eas = EnumAlmostSat.Inflated)),
-    "iTraversal(noInherit)" -> (_ => TraversalConfig.iTraversal.copy(inheritExclusion = false)),
   )
 
   for ((name, mkCfg) <- configs; k <- 1 to 3) {
