@@ -19,14 +19,14 @@ class B2_RuntimeRealBench extends SparkSpec {
   }
 
   test("Fig 7(b): writer, vary k") {
-    val table = Experiments.runtimeVaryK("writer", 1 to 3, 1000, Seq("bTraversal", "iTraversal"))
+    val table = Experiments.runtimeVary("writer", ks = 1 to 3, ns = Seq(1000))
     table.rows.foreach { row =>
       assert(row.last.forall(_.isDigit), s"iTraversal did not finish for ${row.head}")
     }
   }
 
   test("Fig 7(d): writer, vary number of returned MBPs") {
-    val table = Experiments.runtimeVaryN("writer", 2, Seq(10, 100, 1000), Seq("bTraversal", "iTraversal"))
+    val table = Experiments.runtimeVary("writer", ks = Seq(2), ns = Seq(10, 100, 1000))
     assert(table.rows.size == 3)
   }
 }

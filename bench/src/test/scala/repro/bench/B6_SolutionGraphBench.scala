@@ -21,7 +21,7 @@ class B6_SolutionGraphBench extends SparkSpec {
   )
 
   test("Fig 11(a,b): links and time on the small datasets, k=1") {
-    val table = Experiments.solutionGraphTable(datasets, k = 1)
+    val table = Experiments.solutionGraph(datasets, ks = Seq(1))
     // Monotone sparsification wherever every variant finished.
     var monotoneRows = 0
     table.rows.foreach { row =>
@@ -41,7 +41,7 @@ class B6_SolutionGraphBench extends SparkSpec {
   }
 
   test("Fig 11(c,d): divorce, vary k") {
-    val table = Experiments.solutionGraphVaryK("divorce", datasets.head._2, 1 to 2)
+    val table = Experiments.solutionGraph(datasets.take(1), ks = 1 to 2)
     assert(table.rows.size == 2)
     // k=1 completes for the full iTraversal.
     assert(table.rows.head.last.forall(_.isDigit))

@@ -10,8 +10,9 @@ import repro.spark.DistITraversal
 import scala.collection.mutable
 import scala.util.Random
 
-/** The paper's evaluation experiments (Section 6), one function per table;
-  * shared by the bench suites (bench/src/test) and the spark-submit jobs.
+/** The paper's evaluation experiments (Section 6), one function per table
+  * or per pair of panels that differ only in the swept parameter; the
+  * B1..B9 suites (bench/src/test) are their only callers.
   *
   * Each run is time-boxed (REPRO_BUDGET_MS, default 6 s — the scaled-down
   * version of the paper's 24 h INF); FaPlexen additionally gets the
@@ -20,6 +21,9 @@ import scala.util.Random
 object Experiments {
 
   val algos: Seq[String] = Seq("iMB", "FaPlexen", "bTraversal", "iTraversal")
+
+  /** The algorithms of the parameter sweeps (Fig 7(b–e), Fig 9). */
+  val traversals: Seq[String] = Seq("bTraversal", "iTraversal")
 
   /** iTraversal in its scalability mode (two-hop seed restriction) — used
     * for the first-N runs on large graphs, as the paper's implementation
@@ -30,34 +34,40 @@ object Experiments {
   /** Inflation memory guard ~ what 32 GB held for the paper, scaled. */
   val outEdgeLimit: Long = sys.env.getOrElse("REPRO_OUT_EDGES", "30000000").toLong
 
-  /** Run one algorithm until n solutions; returns (cell, found).
-    * The cell is elapsed millis, "INF" (budget hit) or "OUT".
+  /** The algorithm dispatch: run `algo` on (g, k) until `sink` returns
+    * false or `budgetMs` runs out, with iTraversal configured as
+    * `iTraversal`. Returns the enumerator's own completion flag (false if
+    * the deadline, or for iMB and FaPlexen also the sink, stopped it), or
+    * None for the paper's OUT: FaPlexen's inflated graph is over
+    * [[outEdgeLimit]].
     */
-  def runFirstN(algo: String, g: BipartiteGraph, k: Int, n: Int, budgetMs: Long = Harness.budgetMs): (String, Long) = {
-    Console.err.println(s"[bench] runFirstN $algo on $g k=$k n=$n")
-    var found = 0L
+  private def runAlgo(
+      algo: String,
+      g: BipartiteGraph,
+      k: Int,
+      iTraversal: TraversalConfig,
+      budgetMs: Long,
+      sink: Solution => Boolean,
+  ): Option[Boolean] = {
     val dl = Harness.deadline(budgetMs)
-    def sink(s: Solution): Boolean = { found += 1; found < n }
     algo match {
-      case "iMB" =>
-        val (completed, ms) = Harness.timed(IMB.enumerate(g, k, sink, 0, 0, dl))
-        (Harness.cell(ms, completed || found >= n), found)
-      case "FaPlexen" =>
-        if (InflationBaseline.inflatedEdges(g) > outEdgeLimit) ("OUT", 0L)
-        else {
-          val (completed, ms) = Harness.timed(InflationBaseline.enumerate(g, k, sink, dl))
-          (Harness.cell(ms, completed || found >= n), found)
-        }
-      case "bTraversal" =>
-        val (stats, ms) = Harness.timed(
-          ReverseSearch.run(g, k, TraversalConfig.bTraversal, sink, dl))
-        (Harness.cell(ms, !stats.aborted), found)
-      case "iTraversal" =>
-        val (stats, ms) = Harness.timed(
-          ReverseSearch.run(g, k, iTraversalScaled, sink, dl))
-        (Harness.cell(ms, !stats.aborted), found)
-      case other => sys.error(s"unknown algorithm $other")
+      case "iMB"        => Some(IMB.enumerate(g, k, sink, 0, 0, dl))
+      case "FaPlexen"   =>
+        if (InflationBaseline.inflatedEdges(g) > outEdgeLimit) None
+        else Some(InflationBaseline.enumerate(g, k, sink, dl))
+      case "bTraversal" => Some(!ReverseSearch.run(g, k, TraversalConfig.bTraversal, sink, dl).aborted)
+      case "iTraversal" => Some(!ReverseSearch.run(g, k, iTraversal, sink, dl).aborted)
+      case other        => sys.error(s"unknown algorithm $other")
     }
+  }
+
+  /** Time (ms) for one algorithm to find n solutions, or INF / OUT. */
+  private def firstN(algo: String, g: BipartiteGraph, k: Int, n: Int): String = {
+    Console.err.println(s"[bench] first $n MBPs: $algo on $g k=$k")
+    var found = 0L
+    val (completed, ms) = Harness.timed(
+      runAlgo(algo, g, k, iTraversalScaled, Harness.budgetMs, _ => { found += 1; found < n }))
+    completed.fold("OUT")(c => Harness.cell(ms, c || found >= n))
   }
 
   // -------------------------------------------------------------------
@@ -68,55 +78,44 @@ object Experiments {
     val rows = datasets.map { name =>
       Console.err.println(s"[bench] building $name")
       val g = BipartiteGen.dataset(name).build()
-      name +: algos.map(a => runFirstN(a, g, k, n)._1)
+      name +: algos.map(a => firstN(a, g, k, n))
     }
     Harness.Table("e2_datasets", s"Fig 7(a): time (ms) to first $n MBPs, k=$k",
       "dataset" +: algos, rows).emit()
   }
 
-  def runtimeVaryK(dataset: String, ks: Seq[Int], n: Int, algosUsed: Seq[String]): Harness.Table = {
+  /** Fig 7(b–e): one dataset, time to the first n MBPs over a sweep of k
+    * (table `e2_varyk_<dataset>`) or, when `ks` is a single value, of n
+    * (`e2_varyn_<dataset>`).
+    */
+  def runtimeVary(dataset: String, ks: Seq[Int], ns: Seq[Int]): Harness.Table = {
+    require(ks.size == 1 || ns.size == 1, "sweep k or n, not both")
+    val varyK = ks.size > 1
     val g = BipartiteGen.dataset(dataset).build()
-    val rows = ks.map { k =>
-      s"k=$k" +: algosUsed.map(a => runFirstN(a, g, k, n)._1)
-    }
-    Harness.Table(s"e2_varyk_$dataset", s"Fig 7(b,c): $dataset, time (ms) to first $n MBPs vs k",
-      "k" +: algosUsed, rows).emit()
-  }
-
-  def runtimeVaryN(dataset: String, k: Int, ns: Seq[Int], algosUsed: Seq[String]): Harness.Table = {
-    val g = BipartiteGen.dataset(dataset).build()
-    val rows = ns.map { n =>
-      s"n=$n" +: algosUsed.map(a => runFirstN(a, g, k, n)._1)
-    }
-    Harness.Table(s"e2_varyn_$dataset", s"Fig 7(d,e): $dataset, time (ms) to first n MBPs, k=$k",
-      "#MBPs" +: algosUsed, rows).emit()
+    val rows = for (k <- ks; n <- ns)
+      yield (if (varyK) s"k=$k" else s"n=$n") +: traversals.map(a => firstN(a, g, k, n))
+    if (varyK)
+      Harness.Table(s"e2_varyk_$dataset", s"Fig 7(b,c): $dataset, time (ms) to first ${ns.head} MBPs vs k",
+        "k" +: traversals, rows).emit()
+    else
+      Harness.Table(s"e2_varyn_$dataset", s"Fig 7(d,e): $dataset, time (ms) to first n MBPs, k=${ks.head}",
+        "#MBPs" +: traversals, rows).emit()
   }
 
   // -------------------------------------------------------------------
   // E3 — Figure 8: delay (full enumeration, small datasets)
   // -------------------------------------------------------------------
 
-  /** Max delay in microseconds over a full enumeration, or INF. */
-  def runDelay(algo: String, g: BipartiteGraph, k: Int, budgetMs: Long = Harness.budgetMs): String = {
+  /** Max delay in microseconds over a full enumeration, or INF / OUT. */
+  private def maxDelay(algo: String, g: BipartiteGraph, k: Int, budgetMs: Long): String = {
     val meter = new Harness.DelayMeter
-    val dl = Harness.deadline(budgetMs)
-    def sink(s: Solution): Boolean = { meter.tick(); true }
-    val completed = algo match {
-      case "iMB"        => IMB.enumerate(g, k, sink, 0, 0, dl)
-      case "FaPlexen"   =>
-        if (InflationBaseline.inflatedEdges(g) > outEdgeLimit) return "OUT"
-        InflationBaseline.enumerate(g, k, sink, dl)
-      case "bTraversal" => !ReverseSearch.run(g, k, TraversalConfig.bTraversal, sink, dl).aborted
-      case "iTraversal" => !ReverseSearch.run(g, k, TraversalConfig.iTraversal, sink, dl).aborted
-      case other        => sys.error(s"unknown algorithm $other")
-    }
-    if (completed) s"${meter.finish()}" else "INF"
+    runAlgo(algo, g, k, TraversalConfig.iTraversal, budgetMs, _ => { meter.tick(); true })
+      .fold("OUT")(completed => if (completed) s"${meter.finish()}" else "INF")
   }
 
-  def delayTable(datasets: Seq[(String, BipartiteGraph)], ks: Seq[Int],
-                 budgetMs: Long = Harness.budgetMs * 3): Harness.Table = {
+  def delayTable(datasets: Seq[(String, BipartiteGraph)], ks: Seq[Int]): Harness.Table = {
     val rows = for ((name, g) <- datasets; k <- ks) yield {
-      Seq(name, s"$k") ++ algos.map(a => runDelay(a, g, k, budgetMs))
+      Seq(name, s"$k") ++ algos.map(a => maxDelay(a, g, k, Harness.budgetMs * 3))
     }
     Harness.Table("e3_delay", "Fig 8: max delay (microseconds), full enumeration",
       Seq("dataset", "k") ++ algos, rows).emit()
@@ -126,24 +125,23 @@ object Experiments {
   // E4 — Figure 9: synthetic scalability (ER graphs)
   // -------------------------------------------------------------------
 
-  def scalabilityVertices(nVertices: Seq[Int], density: Int, k: Int, n: Int): Harness.Table = {
-    val used = Seq("bTraversal", "iTraversal")
-    val rows = nVertices.map { nv =>
-      val g = BipartiteGen.er(nv / 2, nv / 2, nv.toLong * density, seed = 7)
-      s"$nv" +: used.map(a => runFirstN(a, g, k, n)._1)
+  /** Fig 9: ER graphs with `nv` vertices and nv·density edges, time to the
+    * first n MBPs over a sweep of the vertex count (table `e4_vertices`)
+    * or, when `nVertices` is a single value, of the density (`e4_density`).
+    */
+  def scalability(nVertices: Seq[Int], densities: Seq[Int], k: Int, n: Int): Harness.Table = {
+    require(nVertices.size == 1 || densities.size == 1, "sweep vertices or density, not both")
+    val varyVertices = nVertices.size > 1
+    val rows = for (nv <- nVertices; d <- densities) yield {
+      val g = BipartiteGen.er(nv / 2, nv / 2, nv.toLong * d, seed = if (varyVertices) 7 else 8)
+      s"${if (varyVertices) nv else d}" +: traversals.map(a => firstN(a, g, k, n))
     }
-    Harness.Table("e4_vertices", s"Fig 9(a): ER graphs, density $density, time (ms) to first $n MBPs, k=$k",
-      "#vertices" +: used, rows).emit()
-  }
-
-  def scalabilityDensity(nVertices: Int, densities: Seq[Int], k: Int, n: Int): Harness.Table = {
-    val used = Seq("bTraversal", "iTraversal")
-    val rows = densities.map { d =>
-      val g = BipartiteGen.er(nVertices / 2, nVertices / 2, nVertices.toLong * d, seed = 8)
-      s"$d" +: used.map(a => runFirstN(a, g, k, n)._1)
-    }
-    Harness.Table("e4_density", s"Fig 9(b): ER graphs, $nVertices vertices, time (ms) to first $n MBPs, k=$k",
-      "density" +: used, rows).emit()
+    if (varyVertices)
+      Harness.Table("e4_vertices", s"Fig 9(a): ER graphs, density ${densities.head}, time (ms) to first $n MBPs, k=$k",
+        "#vertices" +: traversals, rows).emit()
+    else
+      Harness.Table("e4_density", s"Fig 9(b): ER graphs, ${nVertices.head} vertices, time (ms) to first $n MBPs, k=$k",
+        "density" +: traversals, rows).emit()
   }
 
   // -------------------------------------------------------------------
@@ -151,8 +149,7 @@ object Experiments {
   // -------------------------------------------------------------------
 
   def largeMbpTable(datasets: Seq[String], thetas: Seq[Int], k: Int): Harness.Table = {
-    val rows = for (name <- datasets; theta <- thetas) yield {
-      val g = BipartiteGen.dataset(name).build()
+    val rows = for (name <- datasets; g = BipartiteGen.dataset(name).build(); theta <- thetas) yield {
       // iTraversal extension (includes its own core reduction).
       var n1 = 0L
       val (st1, ms1) = Harness.timed(
@@ -183,34 +180,29 @@ object Experiments {
     "iTraversal"          -> TraversalConfig.iTraversal,
   )
 
-  def solutionGraphTable(datasets: Seq[(String, BipartiteGraph)], k: Int,
-                         budgetMs: Long = Harness.budgetMs * 3): Harness.Table = {
-    val rows = datasets.map { case (name, g) =>
+  /** Fig 11: links and time of full enumeration per variant, one row per
+    * dataset at one k (table `e6_links_k<k>`) or, when `datasets` is a
+    * single graph, one row per k (`e6_varyk_<dataset>`).
+    */
+  def solutionGraph(datasets: Seq[(String, BipartiteGraph)], ks: Seq[Int]): Harness.Table = {
+    require(datasets.size == 1 || ks.size == 1, "sweep datasets or k, not both")
+    val varyK = ks.size > 1
+    val rows = for ((name, g) <- datasets; k <- ks) yield {
       val cells = variantNames.flatMap { case (_, cfg) =>
         val (stats, ms) = Harness.timed(
-          ReverseSearch.run(g, k, cfg, _ => true, Harness.deadline(budgetMs)))
+          ReverseSearch.run(g, k, cfg, _ => true, Harness.deadline(Harness.budgetMs * 3)))
         Seq(if (stats.aborted) s">=${stats.links} (INF)" else s"${stats.links}",
           Harness.cell(ms, !stats.aborted))
       }
-      name +: cells
+      (if (varyK) s"k=$k" else name) +: cells
     }
-    Harness.Table(s"e6_links_k$k", s"Fig 11(a,b): solution-graph links and time (ms), k=$k",
-      "dataset" +: variantNames.flatMap { case (n, _) => Seq(s"$n links", s"$n ms") }, rows).emit()
-  }
-
-  def solutionGraphVaryK(dataset: String, g: BipartiteGraph, ks: Seq[Int],
-                         budgetMs: Long = Harness.budgetMs * 3): Harness.Table = {
-    val rows = ks.map { k =>
-      val cells = variantNames.flatMap { case (_, cfg) =>
-        val (stats, ms) = Harness.timed(
-          ReverseSearch.run(g, k, cfg, _ => true, Harness.deadline(budgetMs)))
-        Seq(if (stats.aborted) s">=${stats.links} (INF)" else s"${stats.links}",
-          Harness.cell(ms, !stats.aborted))
-      }
-      s"k=$k" +: cells
-    }
-    Harness.Table(s"e6_varyk_$dataset", s"Fig 11(c,d): $dataset, links and time (ms) vs k",
-      "k" +: variantNames.flatMap { case (n, _) => Seq(s"$n links", s"$n ms") }, rows).emit()
+    val header = variantNames.flatMap { case (n, _) => Seq(s"$n links", s"$n ms") }
+    if (varyK)
+      Harness.Table(s"e6_varyk_${datasets.head._1}", s"Fig 11(c,d): ${datasets.head._1}, links and time (ms) vs k",
+        "k" +: header, rows).emit()
+    else
+      Harness.Table(s"e6_links_k${ks.head}", s"Fig 11(a,b): solution-graph links and time (ms), k=${ks.head}",
+        "dataset" +: header, rows).emit()
   }
 
   // -------------------------------------------------------------------
@@ -239,7 +231,7 @@ object Experiments {
           var go = true
           cases.foreach { case (s, v) =>
             if (go && System.nanoTime < dl)
-              go = EnumAlmostSat.run(g, k, s.left, s.right, v, variant, (_, _) => true)
+              go = EnumAlmostSat.run(g, k, s.left, s.right, v, variant, (_, _) => true, deadlineNanos = dl)
           }
         }
         if (System.nanoTime >= dl) "INF"

@@ -3,10 +3,10 @@ package repro.bench
 import java.nio.file.{Files, Paths, StandardOpenOption}
 import java.nio.charset.StandardCharsets
 
-/** Small benchmarking utilities shared by the bench suites and jobs/:
-  * wall-clock timing, per-solution delay capture, and a fixed-width /
-  * markdown table renderer that also persists results under
-  * `bench_results/` (the checked-in tables are in `bench/bench_results/`).
+/** Small benchmarking utilities of the bench suites: wall-clock timing,
+  * per-solution delay capture, and a fixed-width / markdown table renderer
+  * that also persists results under `bench_results/` (the checked-in
+  * tables are in `bench/bench_results/`).
   */
 object Harness {
 

@@ -3,10 +3,9 @@ package repro.core
 import repro.graph.BipartiteGraph
 import scala.collection.mutable
 
-/** Local (driver-side) core decompositions of bipartite graphs.
+/** Core decompositions of bipartite graphs.
   *
-  * Reference implementation for [[repro.spark.CoreDecomposition]] and the
-  * (θ−k)-core pre-reduction of the large-MBP experiments (Section 6.1 /
+  * The (θ−k)-core pre-reduction of the large-MBP experiments (Section 6.1 /
   * Figure 10): every MBP with both sides ≥ θ lies inside the (θ−k)-core.
   */
 object CoreReduction {

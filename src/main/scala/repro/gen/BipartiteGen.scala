@@ -1,7 +1,5 @@
 package repro.gen
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.graph.BipartiteGraph
 import scala.collection.mutable
 import scala.util.Random
@@ -85,18 +83,6 @@ object BipartiteGen {
       math.min(idx, n - 1)
     }
   }
-
-  /** ER edge DataFrame generated distributedly (used by the Spark-layer
-    * tests and the distributed bench): `m` draws with duplicates dropped.
-    */
-  def erEdgesDf(spark: SparkSession, nL: Int, nR: Int, m: Long, seed: Long): DataFrame =
-    spark
-      .range(m)
-      .select(
-        (rand(seed) * nL).cast("long").as("src"),
-        (rand(seed + 1) * nR).cast("long").as("dst"),
-      )
-      .dropDuplicates("src", "dst")
 
   // ---------------------------------------------------------------------
   // Table-1 dataset catalog (scaled stand-ins for the KONECT graphs)

@@ -17,8 +17,10 @@ final class BipartiteGraph(
     val adjR: Array[Array[Int]],
 ) extends Serializable {
 
-  /** Number of edges. */
-  val numEdges: Long = adjL.iterator.map(_.length.toLong).sum
+  /** Number of edges. Lazy so that constructing a graph (in particular a
+    * [[flipped]] view, built on every right-side add-check) costs O(1).
+    */
+  lazy val numEdges: Long = adjL.iterator.map(_.length.toLong).sum
 
   /** Degree of left vertex v. */
   def degL(v: Int): Int = adjL(v).length

@@ -10,13 +10,15 @@ import scala.collection.mutable
   *
   * The driver computes the initial solution H0 = (L0, R_all) and the list
   * of root seeds (left vertices outside L0, in the order the sequential
-  * algorithm would process them) together with the exclusion-set snapshot
-  * each seed would have observed. Each seed becomes one task in an RDD;
-  * executors run the *same* engine ([[ReverseSearch]]) on the broadcast
-  * graph, restricted to their seed's root subtree. Subtrees can overlap
-  * (tasks keep only a local visited set), so solutions are deduplicated
-  * globally with a DataFrame `distinct` — correctness is preserved because
-  * reachability, not the visited set, defines the solution set.
+  * algorithm would process them), and broadcasts it with the graph. Task i
+  * is seed i; its exclusion-set snapshot is the seeds before it, sliced
+  * from the broadcast list on the executor, so the driver holds O(nL)
+  * ints rather than O(nL²). Executors run the *same* engine
+  * ([[ReverseSearch]]) on the broadcast graph, restricted to their seed's
+  * root subtree. Subtrees can overlap (tasks keep only a local visited
+  * set), so solutions are deduplicated globally with a DataFrame
+  * `distinct` — correctness is preserved because reachability, not the
+  * visited set, defines the solution set.
   *
   * This is the "parallel and distributed implementation" the paper's
   * conclusion calls for and the reproduction hint asks for (RDD-based
@@ -30,37 +32,31 @@ object DistITraversal {
     * `maxPerTask` bounds the number of solutions any one task reports
     * (0 = unbounded) — the distributed analogue of "first N MBPs".
     */
-  def enumerate(
-      spark: SparkSession,
-      g: BipartiteGraph,
-      k: Int,
-      eas: EnumAlmostSat.Variant = EnumAlmostSat.L20R20,
-      maxPerTask: Int = 0,
-  ): DataFrame = {
+  def enumerate(spark: SparkSession, g: BipartiteGraph, k: Int, maxPerTask: Int = 0): DataFrame = {
     import spark.implicits._
-    val cfg = TraversalConfig.iTraversal.copy(eas = eas)
     val h0 = Biplex.initialLeftAnchored(g, k)
 
-    // Root seeds in sequential order, each with its exclusion snapshot.
+    // Root seeds in sequential order.
     val seeds = (0 until g.nL).filter(v => !VertexSets.contains(h0.left, v)).toArray
-    val tasks = seeds.zipWithIndex.map { case (v, i) => (v, seeds.take(i)) }
 
     val bcG = spark.sparkContext.broadcast(g)
-    val slices = math.max(1, math.min(spark.sparkContext.defaultParallelism, tasks.length))
+    val bcSeeds = spark.sparkContext.broadcast(seeds)
+    val slices = math.max(1, math.min(spark.sparkContext.defaultParallelism, seeds.length))
     val found = spark.sparkContext
-      .parallelize(tasks.toIndexedSeq, slices)
-      .flatMap { case (seed, exclusion) =>
+      .parallelize(seeds.indices, slices)
+      .flatMap { i =>
         val graph = bcG.value
+        val all = bcSeeds.value
         val out = mutable.ArrayBuffer.empty[(Seq[Int], Seq[Int])]
         var n = 0
         ReverseSearch.run(
-          graph, k, cfg,
+          graph, k, TraversalConfig.iTraversal,
           sink = { s =>
             out += ((s.left.toSeq, s.right.toSeq))
             n += 1
             maxPerTask <= 0 || n < maxPerTask
           },
-          rootRestrict = Some(ReverseSearch.RootRestrict(Array(seed), exclusion)),
+          rootRestrict = Some(ReverseSearch.RootRestrict(Array(all(i)), all.take(i))),
         )
         out
       }
@@ -69,14 +65,9 @@ object DistITraversal {
     df.union(root).distinct()
   }
 
-  /** Collect the distributed result as a solution set (tests). */
-  def collectSolutions(
-      spark: SparkSession,
-      g: BipartiteGraph,
-      k: Int,
-      eas: EnumAlmostSat.Variant = EnumAlmostSat.L20R20,
-  ): Set[Solution] =
-    enumerate(spark, g, k, eas)
+  /** Collect the distributed result as a solution set. */
+  def collectSolutions(spark: SparkSession, g: BipartiteGraph, k: Int): Set[Solution] =
+    enumerate(spark, g, k)
       .collect()
       .map { r =>
         Solution.of(r.getSeq[Int](0), r.getSeq[Int](1))

@@ -4,23 +4,14 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.graph.BipartiteGraph
 
-/** Conversions between bipartite edge DataFrames and the in-memory
-  * [[BipartiteGraph]], plus DataFrame statistics used by the dataset table
-  * (Table 1) and validated against DuckDB in the tests.
+/** A local [[BipartiteGraph]] as an edge DataFrame, and the DataFrame
+  * statistics of the dataset table (Table 1), validated against DuckDB in
+  * the tests.
   *
   * Edge DataFrames use the schema (src BIGINT, dst BIGINT) with src a left
   * id in [0, nL) and dst a right id in [0, nR).
   */
 object GraphFrames {
-
-  /** Materialize an edge DataFrame into a local BipartiteGraph. */
-  def toLocal(edges: DataFrame, nL: Int, nR: Int): BipartiteGraph = {
-    val pairs = edges
-      .select(col("src").cast("long"), col("dst").cast("long"))
-      .collect()
-      .map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
-    BipartiteGraph.fromEdges(nL, nR, pairs.toIndexedSeq)
-  }
 
   /** Lift a local graph into an edge DataFrame. */
   def toEdges(spark: SparkSession, g: BipartiteGraph): DataFrame = {
@@ -28,15 +19,7 @@ object GraphFrames {
     g.edges.map { case (v, u) => (v.toLong, u.toLong) }.toSeq.toDF("src", "dst")
   }
 
-  /** Left-degree distribution: (src, degree). */
-  def leftDegrees(edges: DataFrame): DataFrame =
-    edges.groupBy("src").agg(count(lit(1)).as("degree"))
-
-  /** Right-degree distribution: (dst, degree). */
-  def rightDegrees(edges: DataFrame): DataFrame =
-    edges.groupBy("dst").agg(count(lit(1)).as("degree"))
-
-  /** One-row dataset summary: edges, distinct endpoints, max degrees. */
+  /** One-row dataset summary: edges and distinct endpoints per side. */
   def summary(edges: DataFrame): DataFrame =
     edges.agg(
       count(lit(1)).as("m"),

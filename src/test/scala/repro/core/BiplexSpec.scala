@@ -112,6 +112,17 @@ class BiplexSpec extends SparkSpec {
     }
   }
 
+  test("initialArbitrary on the imdb stand-in is a maximal 1-biplex within 5 s") {
+    // Every right-side add-check works on g.flipped; building that view must
+    // not rescan the graph, or H0 is quadratic in the vertex count.
+    val g = repro.gen.BipartiteGen.dataset("imdb").build()
+    val t0 = System.nanoTime
+    val h0 = Biplex.initialArbitrary(g, 1)
+    val secs = (System.nanoTime - t0) / 1e9
+    assert(secs < 5, f"initialArbitrary took $secs%.1f s")
+    assert(Biplex.isMaximalKBiplex(g, 1, h0.left, h0.right))
+  }
+
   test("leftCandidates is a superset of the addable left vertices") {
     for (k <- 0 to 2; (g, seed) <- TestGraphs.smallBatch(25, maxSide = 6, seed = 1000 + k)) {
       val h0 = Biplex.initialArbitrary(g, k)

@@ -1,6 +1,8 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
+import repro.baselines.IMB
+import repro.gen.BipartiteGen
 import repro.graph.BipartiteGraph
 
 /** bTraversal and every iTraversal technique level against brute
@@ -70,6 +72,19 @@ class TraversalSpec extends SparkSpec {
         assert(ReverseSearch.collectAll(g, k, TraversalConfig.iTraversal)._1 == exp, s"k=$k $g")
         assert(ReverseSearch.collectAll(g, k, TraversalConfig.bTraversal)._1 == exp, s"k=$k $g")
       }
+    }
+  }
+
+  test("beyond brute-force size: the side swap and iMB agree with iTraversal (k=1,2)") {
+    // Thousands of MBPs on graphs too large for BruteForce. The left-anchored
+    // traversal of the flipped graph starts from another H0 and seeds from
+    // the other side, so it reaches the MBPs along different paths.
+    for ((k, g) <- Seq(1 -> BipartiteGen.er(20, 20, 100, seed = 1), 2 -> BipartiteGen.er(10, 16, 60, seed = 1))) {
+      val (got, _) = ReverseSearch.collectAll(g, k, TraversalConfig.iTraversal)
+      assert(got.size >= 1000, s"k=$k: only ${got.size} MBPs")
+      val (swapped, _) = ReverseSearch.collectAll(g.flipped, k, TraversalConfig.iTraversal)
+      assert(swapped.map(_.flip) == got, s"k=$k: MBPs of the flipped graph differ")
+      assert(IMB.collectAll(g, k) == got, s"k=$k: iMB differs")
     }
   }
 

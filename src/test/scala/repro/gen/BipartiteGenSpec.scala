@@ -1,7 +1,6 @@
 package repro.gen
 
-import repro.{Oracle, SparkSpec}
-import repro.spark.GraphFrames
+import repro.SparkSpec
 
 class BipartiteGenSpec extends SparkSpec {
 
@@ -61,16 +60,5 @@ class BipartiteGenSpec extends SparkSpec {
 
   test("dataset lookup fails on unknown names") {
     intercept[RuntimeException] { BipartiteGen.dataset("nope") }
-  }
-
-  test("erEdgesDf summary is DuckDB-consistent and deterministic") {
-    val df = BipartiteGen.erEdgesDf(spark, 30, 30, 200, seed = 7).cache()
-    Oracle.assertEquivalent(
-      GraphFrames.summary(df),
-      "SELECT count(*) AS m, count(DISTINCT src) AS active_l, count(DISTINCT dst) AS active_r FROM e",
-      "e" -> df,
-    )
-    val again = BipartiteGen.erEdgesDf(spark, 30, 30, 200, seed = 7)
-    assert(df.count() == again.count())
   }
 }
