@@ -144,12 +144,10 @@ object Biplex {
   /** Deterministically extend the k-biplex (L, R) to a maximal one.
     *
     * Adds vertices in ascending id order — left side first, then (iff
-    * `leftOnly` is false) the right side. Left vertices for which
-    * `deferLeft` holds are tried only after all other left vertices (the
-    * exclusion strategy prefers extensions that avoid excluded vertices).
-    * Because addability is monotone non-increasing as the solution grows,
-    * one pass per group yields a maximal result; `leftOnly` extensions
-    * preserve R exactly (right-shrinking traversal, Algorithm 2 line 8).
+    * `leftOnly` is false) the right side. Because addability is monotone
+    * non-increasing as the solution grows, one pass per side yields a
+    * maximal result; `leftOnly` extensions preserve R exactly
+    * (right-shrinking traversal, Algorithm 2 line 8).
     */
   def extend(
       g: BipartiteGraph,
@@ -157,28 +155,45 @@ object Biplex {
       l0: Array[Int],
       r0: Array[Int],
       leftOnly: Boolean,
-      deferLeft: Option[Int => Boolean] = None,
   ): Solution = {
-    val l = deferLeft match {
-      case None    => extendLeftPass(g, k, l0, r0, _ => true)
-      case Some(d) => extendLeftPass(g, k, extendLeftPass(g, k, l0, r0, v => !d(v)), r0, d)
-    }
-    val r = if (leftOnly) r0 else extendLeftPass(g.flipped, k, r0, l, _ => true)
+    val l = extendLeftPass(g, k, l0, r0, VertexSets.empty)
+    val r = if (leftOnly) r0 else extendLeftPass(g.flipped, k, r0, l, VertexSets.empty)
     Solution(l, r)
   }
 
-  /** One maximal-growing pass over left candidates satisfying `pred`, with
-    * incremental bookkeeping: δ̄(u, L) per u ∈ R and the saturated set are
-    * updated on each accepted vertex instead of recomputed per candidate.
-    * Addability is monotone non-increasing, so a single ascending pass over
-    * a candidate superset yields a left-maximal result.
+  /** Left-only extension under the exclusion strategy (Algorithm 2): one
+    * ascending pass over the left vertices outside X, then a test whether
+    * some x ∈ X is still addable to its result (L', R). If one is, returns
+    * None: every maximal extension of (L', R) would then contain a vertex
+    * of X — an ascending pass adds the first such x it reaches, because
+    * addability only falls as L grows. Otherwise (L', R) is maximal and
+    * avoids X. X must be sorted and disjoint from L.
+    */
+  def extendExcluding(
+      g: BipartiteGraph,
+      k: Int,
+      l0: Array[Int],
+      r0: Array[Int],
+      x: Array[Int],
+  ): Option[Solution] = {
+    val l = extendLeftPass(g, k, l0, r0, x)
+    if (l == null) None else Some(Solution(l, r0))
+  }
+
+  /** One maximal-growing pass over the left candidates outside `exclude`,
+    * with incremental bookkeeping: δ̄(u, L) per u ∈ R and the saturated set
+    * are updated on each accepted vertex instead of recomputed per
+    * candidate. Addability is monotone non-increasing, so a single
+    * ascending pass over a candidate superset yields a result maximal among
+    * vertices outside `exclude`. Returns null iff some vertex of `exclude`
+    * is addable to that result.
     */
   private def extendLeftPass(
       g: BipartiteGraph,
       k: Int,
       l0: Array[Int],
       r: Array[Int],
-      pred: Int => Boolean,
+      exclude: Array[Int],
   ): Array[Int] = {
     val fullRight = r.length == g.nR
     val dbar = new Array[Int](r.length)
@@ -207,10 +222,10 @@ object Biplex {
       false
     }
 
-    /** Check v and, if addable, add it and update the bookkeeping. */
-    def tryAdd(v: Int): Boolean = {
-      if (!pred(v) || inCurrent(v)) return false
-      val nb = g.adjL(v)
+    /** Is a left vertex v ∉ L with neighbours nb addable to the current
+      * (L, R): δ̄(v, R) ≤ k and v adjacent to every saturated u ∈ R?
+      */
+    def addable(nb: Array[Int]): Boolean = {
       val db = if (fullRight) g.nR - nb.length else r.length - VertexSets.intersectCount(nb, r)
       if (db > k) return false
       var s = 0
@@ -218,11 +233,15 @@ object Biplex {
         if (!VertexSets.contains(nb, satR(s))) return false
         s += 1
       }
-      if (added.nonEmpty && added.last > v) {
-        // Deferred-pass candidates can arrive out of order; keep sorted.
-        val p = added.search(v)(Ordering.Int).insertionPoint
-        added.insert(p, v)
-      } else added += v
+      true
+    }
+
+    /** Check v and, if addable, add it and update the bookkeeping. */
+    def tryAdd(v: Int): Boolean = {
+      if (VertexSets.contains(exclude, v) || inCurrent(v)) return false
+      val nb = g.adjL(v)
+      if (!addable(nb)) return false
+      added += v
       var j = 0
       while (j < r.length) {
         if (!VertexSets.contains(nb, r(j))) {
@@ -234,8 +253,12 @@ object Biplex {
       true
     }
 
+    // Vertices of `exclude` that the pass's candidate set admits; the
+    // candidate sets below are supersets of the addable vertices.
+    var excludedCands = exclude
     if (r.length > k && !fullRight) {
       val cands = leftCandidates(g, k, l0, r)
+      if (exclude.nonEmpty) excludedCands = VertexSets.intersect(cands, exclude)
       var c = 0
       while (c < cands.length) { tryAdd(cands(c)); c += 1 }
     } else if (r.length > k) {
@@ -275,6 +298,11 @@ object Biplex {
           }
         }
       }
+    }
+    var e = 0
+    while (e < excludedCands.length) {
+      if (addable(g.adjL(excludedCands(e)))) return null
+      e += 1
     }
     if (added.isEmpty) l0 else VertexSets.union(l0, added.toArray)
   }

@@ -7,8 +7,9 @@ import scala.collection.mutable
   *
   * `links` counts the links of the (variant-specific) solution graph that
   * the DFS traversed: one per (H, v, H_loc) triple surviving the variant's
-  * prunings — the quantity plotted in Figure 11. `easCalls` counts
-  * EnumAlmostSat invocations (almost-satisfying graphs formed).
+  * prunings — the quantity plotted in Figure 11. `easCalls` counts only the
+  * EnumAlmostSat calls made (almost-satisfying graphs formed): a seed skipped
+  * by the θ pruning or because it is already excluded is not counted.
   */
 final case class EnumStats(
     solutions: Long,
@@ -103,7 +104,8 @@ object ReverseSearch {
     * @param seeds     left seeds to process at the root (deeper levels are
     *                  unrestricted)
     * @param exclusion initial exclusion set (the snapshot the sequential
-    *                  run would have had when reaching the first seed)
+    *                  run would have had when reaching the first seed;
+    *                  disjoint from H0's left side)
     */
   final case class RootRestrict(seeds: Array[Int], exclusion: Array[Int])
 
@@ -165,18 +167,21 @@ object ReverseSearch {
         // Right-shrinking traversal (Algorithm 2 line 7): drop local
         // solutions that still admit a vertex from the right universe.
         if (cfg.rightShrinking && admitsRightVertex(g, k, ctx, v, lFull, rPrime)) return true
-        if (cfg.exclusion && intersects(lFull, xCur)) return true
-        follow(Biplex.extend(
-          g, k, lFull, rPrime,
-          leftOnly = cfg.rightShrinking,
-          deferLeft = if (cfg.exclusion && xCur.nonEmpty) Some(xv => VertexSets.contains(xCur, xv)) else None,
-        ))
+        if (!cfg.exclusion) return follow(Biplex.extend(g, k, lFull, rPrime, leftOnly = cfg.rightShrinking))
+        // lFull avoids xCur: v is not excluded (seed loop), and l avoids
+        // every vertex excluded at this node — those inherited because the
+        // extension toward l avoided them, the rest because l's members are
+        // not seeds here. A link whose extension would take in an excluded
+        // vertex is traversed (counted) but not followed.
+        Biplex.extendExcluding(g, k, lFull, rPrime, xCur) match {
+          case Some(ext) => follow(ext)
+          case None      => links += 1; true
+        }
       }
 
       /** Traverse the link toward the extended solution ext. */
       def follow(ext: Solution): Boolean = {
         links += 1
-        if (cfg.exclusion && intersects(ext.left, xCur)) return true
         val key = ext.key(g.nL)
         if (!visited.contains(key)) {
           visited += key
@@ -202,9 +207,11 @@ object ReverseSearch {
         val v = leftSeeds.next()
         if (timeUp()) { ok = false }
         else {
-          // Almost-satisfying-graph pruning (Section 5).
-          val skip = cfg.theta.isDefined &&
-            VertexSets.intersectCount(g.adjL(v), r) + k < thetaR
+          // A seed already in the exclusion set forms no almost-satisfying
+          // graph: every local solution contains v, so handleLocal would
+          // prune them all. Then almost-satisfying-graph pruning (Section 5).
+          val skip = (cfg.exclusion && VertexSets.contains(xCur, v)) ||
+            (cfg.theta.isDefined && VertexSets.intersectCount(g.adjL(v), r) + k < thetaR)
           if (!skip) {
             easCalls += 1
             ok = EnumAlmostSat.run(
@@ -276,9 +283,6 @@ object ReverseSearch {
     val stats = run(g, k, cfg, s => { out += s; c += 1; c < n }, deadlineNanos)
     (out.result(), stats)
   }
-
-  private def intersects(a: Array[Int], b: Array[Int]): Boolean =
-    VertexSets.intersectCount(a, b) > 0
 
   /** Right-shrinking test (Algorithm 2 line 7) for a local solution
     * (lFull = L' ∪ {v}, rPrime) of the node whose context is `ctx`:

@@ -73,6 +73,38 @@ class BiplexSpec extends SparkSpec {
     assert(branches.forall(_ > 0), s"branch counts ${branches.toSeq}")
   }
 
+  test("extendExcluding reports exclusion iff some x ∈ X is addable after the pass outside X") {
+    // Reference first pass: grow (L, R) in ascending id order over the left
+    // vertices outside X, by the definition-level addableL.
+    val rnd = new Random(1300)
+    var excluded = 0
+    var kept = 0
+    for (k <- 0 to 2; (g, seed) <- TestGraphs.smallBatch(40, maxSide = 6, seed = 1350 + k);
+         s <- BruteForce.maximalKBiplexes(g, k).toSeq.sortBy(_.toString)) {
+      val l = s.left.filter(_ => rnd.nextInt(3) > 0)
+      val r = s.right.filter(_ => rnd.nextInt(3) > 0)
+      val x = (0 until g.nL).filter(v => !VertexSets.contains(l, v) && rnd.nextInt(3) == 0).toArray
+      var first = l
+      for (v <- 0 until g.nL if !VertexSets.contains(first, v) && !VertexSets.contains(x, v) &&
+             Biplex.addableL(g, k, v, first, r)) first = VertexSets.add(first, v)
+      val excludedAddable = x.exists(Biplex.addableL(g, k, _, first, r))
+      val what = s"seed $seed k=$k L=${l.toSeq} R=${r.toSeq} X=${x.toSeq}"
+      Biplex.extendExcluding(g, k, l, r, x) match {
+        case None =>
+          excluded += 1
+          assert(excludedAddable, s"$what: reported excluded, but no x is addable to ${first.toSeq}")
+        case Some(ext) =>
+          kept += 1
+          assert(!excludedAddable, s"$what: an x is addable to ${first.toSeq}")
+          assert(ext.left.toSeq == first.toSeq && ext.right.toSeq == r.toSeq, s"$what: got $ext")
+          assert(Biplex.isKBiplex(g, k, ext.left, r), what)
+          for (v <- 0 until g.nL if !VertexSets.contains(ext.left, v) && !VertexSets.contains(x, v))
+            assert(!Biplex.addableL(g, k, v, ext.left, r), s"$what: $v still addable to $ext")
+      }
+    }
+    assert(excluded > 0 && kept > 0, s"excluded $excluded, kept $kept")
+  }
+
   for (k <- 0 to 2) {
     test(s"extend produces maximal k-biplexes (k=$k)") {
       for ((g, seed) <- TestGraphs.smallBatch(40, maxSide = 6, seed = 700 + k)) {

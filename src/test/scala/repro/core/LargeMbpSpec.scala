@@ -32,6 +32,16 @@ class LargeMbpSpec extends SparkSpec {
     })
   }
 
+  test("beyond brute-force size: LargeMbp equals θ-filtered iTraversal (k=1, θ=(3,4))") {
+    // Thousands of MBPs: the exclusion seed skip runs together with core
+    // reduction, two-hop seeding and the θ prunings.
+    val g = repro.gen.BipartiteGen.er(20, 20, 100, seed = 1)
+    val (all, _) = ReverseSearch.collectAll(g, 1, TraversalConfig.iTraversal)
+    val exp = all.filter(s => s.left.length >= 3 && s.right.length >= 4)
+    assert(all.size >= 1000 && exp.size >= 100, s"${all.size} MBPs, ${exp.size} large")
+    assert(LargeMbp.collectAll(g, 1, 3, 4) == exp)
+  }
+
   test("no large MBPs when theta exceeds the graph") {
     val g = TestGraphs.random(3, 3, 0.5, 778)
     assert(LargeMbp.collectAll(g, 1, 5, 5).isEmpty)

@@ -4,6 +4,7 @@ import repro.{SparkSpec, TestGraphs}
 import repro.baselines.IMB
 import repro.gen.BipartiteGen
 import repro.graph.BipartiteGraph
+import scala.util.Random
 
 /** bTraversal and every iTraversal technique level against brute
   * force — the central correctness test of the reproduction. The exclusion
@@ -75,16 +76,53 @@ class TraversalSpec extends SparkSpec {
     }
   }
 
+  /** (k, graph, iTraversal's MBPs and stats) on graphs with thousands of
+    * MBPs, too large for BruteForce.
+    */
+  private lazy val beyondBruteForce: Seq[(Int, BipartiteGraph, (Set[Solution], EnumStats))] =
+    Seq(1 -> BipartiteGen.er(20, 20, 100, seed = 1), 2 -> BipartiteGen.er(10, 16, 60, seed = 1))
+      .map { case (k, g) => (k, g, ReverseSearch.collectAll(g, k, TraversalConfig.iTraversal)) }
+
   test("beyond brute-force size: the side swap and iMB agree with iTraversal (k=1,2)") {
-    // Thousands of MBPs on graphs too large for BruteForce. The left-anchored
-    // traversal of the flipped graph starts from another H0 and seeds from
-    // the other side, so it reaches the MBPs along different paths.
-    for ((k, g) <- Seq(1 -> BipartiteGen.er(20, 20, 100, seed = 1), 2 -> BipartiteGen.er(10, 16, 60, seed = 1))) {
-      val (got, _) = ReverseSearch.collectAll(g, k, TraversalConfig.iTraversal)
+    // The left-anchored traversal of the flipped graph starts from another
+    // H0 and seeds from the other side, so it reaches the MBPs along
+    // different paths.
+    for ((k, g, (got, _)) <- beyondBruteForce) {
       assert(got.size >= 1000, s"k=$k: only ${got.size} MBPs")
       val (swapped, _) = ReverseSearch.collectAll(g.flipped, k, TraversalConfig.iTraversal)
       assert(swapped.map(_.flip) == got, s"k=$k: MBPs of the flipped graph differ")
       assert(IMB.collectAll(g, k) == got, s"k=$k: iMB differs")
+    }
+  }
+
+  test("beyond brute-force size: relabelling both sides leaves iTraversal's MBPs unchanged (k=1,2)") {
+    // A random permutation of the ids changes the seed order, the DFS order
+    // and so every exclusion set, but not the set of MBPs.
+    def inverse(perm: Array[Int]): Array[Int] = {
+      val inv = new Array[Int](perm.length)
+      for (i <- perm.indices) inv(perm(i)) = i
+      inv
+    }
+    for ((k, g, (got, stats)) <- beyondBruteForce) {
+      val rnd = new Random(7000 + k)
+      val permL = rnd.shuffle((0 until g.nL).toVector).toArray
+      val permR = rnd.shuffle((0 until g.nR).toVector).toArray
+      val (invL, invR) = (inverse(permL), inverse(permR))
+      val relabelled = BipartiteGraph.fromEdges(g.nL, g.nR, g.edges.map { case (v, u) => (permL(v), permR(u)) }.toSeq)
+      val (back, relStats) = ReverseSearch.collectAll(relabelled, k, TraversalConfig.iTraversal)
+      assert(relStats.links != stats.links, s"k=$k: the permutation left the traversal's links unchanged")
+      assert(back.map(s => Solution.of(s.left.map(invL), s.right.map(invR))) == got, s"k=$k: MBPs differ")
+    }
+  }
+
+  test("beyond brute-force size: iTraversal's links and solutions are pinned (k=1,2)") {
+    // Recorded before the exclusion strategy's seed skip and addability
+    // test, which must change neither. A traversal change that moves these
+    // counts changes the solution graph the DFS walks; update them only on
+    // purpose.
+    val pinned = Map(1 -> (34394L, 3187L), 2 -> (166813L, 9260L))
+    for ((k, _, (_, stats)) <- beyondBruteForce) {
+      assert((stats.links, stats.solutions) == pinned(k), s"k=$k")
     }
   }
 
