@@ -287,13 +287,19 @@ object Experiments {
 
   def distributedTable(spark: SparkSession, nVertices: Int, density: Int, k: Int): Harness.Table = {
     val g = BipartiteGen.er(nVertices / 2, nVertices / 2, nVertices.toLong * density, seed = 9)
-    val (localSet, localMs) = Harness.timed(
-      ReverseSearch.collectAll(g, k, TraversalConfig.iTraversal)._1)
-    val (distSet, distMs) = Harness.timed(DistITraversal.collectSolutions(spark, g, k))
+    // The equality row needs both enumerations complete, so each run gets
+    // ten default budgets; a run its deadline cut shows INF.
+    val budgetMs = 10 * Harness.budgetMs
+    val localSet = mutable.HashSet.empty[Solution]
+    val (localStats, localMs) = Harness.timed(ReverseSearch.run(
+      g, k, TraversalConfig.iTraversal, s => { localSet += s; true }, Harness.deadline(budgetMs)))
+    val distDeadline = Harness.deadline(budgetMs)
+    val (distSet, distMs) = Harness.timed(DistITraversal.collectSolutions(spark, g, k, distDeadline))
+    val distDone = System.nanoTime < distDeadline
     val rows = Seq(
-      Seq("local iTraversal", s"${localSet.size}", s"$localMs"),
-      Seq("distributed iTraversal", s"${distSet.size}", s"$distMs"),
-      Seq("solution sets equal", s"${localSet == distSet}", "-"),
+      Seq("local iTraversal", s"${localSet.size}", Harness.cell(localMs, !localStats.aborted)),
+      Seq("distributed iTraversal", s"${distSet.size}", Harness.cell(distMs, distDone)),
+      Seq("solution sets equal", s"${!localStats.aborted && distDone && localSet == distSet}", "-"),
     )
     Harness.Table("e9_distributed",
       s"Distributed iTraversal on ER($nVertices vertices, density $density), k=$k",

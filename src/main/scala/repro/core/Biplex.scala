@@ -13,6 +13,11 @@ import scala.collection.mutable
   * tests and by the traversal engines on the (small) solution-sized sets;
   * enumerator inner loops use candidate generation to avoid scanning the
   * whole vertex universe on large graphs.
+  *
+  * Every neighbour-count question of the traversal (left candidates, the
+  * right-shrinking test with no saturated vertex, two-hop seeds and their
+  * |Γ(v) ∩ R| for the θ pruning) is answered by one counting kernel,
+  * [[occurrences]], whose cost follows the lists it reads, not the graph.
   */
 object Biplex {
 
@@ -50,29 +55,103 @@ object Biplex {
   def saturatedL(g: BipartiteGraph, k: Int, l: Array[Int], r: Array[Int]): Array[Int] =
     l.filter(v => dbarL(g, v, r) == k)
 
-  /** Sorted ids that occur in at least `need` of the given sorted adjacency
-    * lists (concat + sort + run-length scan; no boxing). `need` ≥ 1.
+  /** Result of [[occurrences]]: the hit ids, ascending, and for each the
+    * number of lists it occurs in.
     */
-  private[core] def atLeastCount(lists: Array[Array[Int]], need: Int): Array[Int] = {
-    var total = 0
+  private[core] final class Occurrences(val ids: Array[Int], val counts: Array[Int])
+
+  /** Scratch of [[occurrences]], one per thread: a counter per vertex id,
+    * zero between calls, and the ids whose counter the running call made
+    * non-zero. Grows to the largest universe seen on the thread.
+    */
+  private final class CountScratch {
+    var counts: Array[Int] = Array.emptyIntArray
+    var touched: Array[Int] = new Array[Int](64)
+  }
+
+  // Per thread because traversals run concurrently in one JVM (the
+  // distributed runner's executor threads). A call runs no callback, so
+  // nothing is held across a sink or emit.
+  private val countScratch = ThreadLocal.withInitial[CountScratch](() => new CountScratch)
+
+  /** The counting kernel behind every neighbour-count question of the
+    * traversal: the ids in [0, universe) that occur in at least `need` of
+    * the given duplicate-free lists, with their occurrence counts.
+    * Counters indexed by vertex id are bumped list by list and reset
+    * through the touched list, never by a pass over the universe. The hits
+    * come out ascending by reading the counters across the touched id
+    * range when it is at most [[DenseRange]] times the number of touched
+    * ids, and by sorting them otherwise; either way the call costs
+    * O(Σ|lists| + h log h) for h hits. `need` ≥ 1.
+    */
+  private[core] def occurrences(lists: Array[Array[Int]], need: Int, universe: Int): Occurrences = {
+    val s = countScratch.get
+    if (s.counts.length < universe) s.counts = new Array[Int](universe)
+    val cnt = s.counts
+    var t = 0 // touched ids so far; their counters are reset however the call ends
+    try {
+      var lo = Int.MaxValue
+      var hi = -1
+      var i = 0
+      while (i < lists.length) {
+        val a = lists(i)
+        var j = 0
+        while (j < a.length) {
+          val id = a(j)
+          if (cnt(id) == 0) {
+            if (t == s.touched.length) s.touched = java.util.Arrays.copyOf(s.touched, 2 * t)
+            s.touched(t) = id
+            t += 1
+            if (id < lo) lo = id
+            if (id > hi) hi = id
+          }
+          cnt(id) += 1
+          j += 1
+        }
+        i += 1
+      }
+      val touched = s.touched
+      var h = 0
+      i = 0
+      while (i < t) { if (cnt(touched(i)) >= need) h += 1; i += 1 }
+      val ids = new Array[Int](h)
+      val counts = new Array[Int](h)
+      if (hi - lo < DenseRange.toLong * t) {
+        var id = lo
+        i = 0
+        while (i < h) {
+          val c = cnt(id)
+          if (c >= need) { ids(i) = id; counts(i) = c; i += 1 }
+          id += 1
+        }
+      } else {
+        i = 0
+        h = 0
+        while (i < t) { if (cnt(touched(i)) >= need) { ids(h) = touched(i); h += 1 }; i += 1 }
+        java.util.Arrays.sort(ids)
+        i = 0
+        while (i < h) { counts(i) = cnt(ids(i)); i += 1 }
+      }
+      new Occurrences(ids, counts)
+    } finally {
+      val touched = s.touched
+      var i = 0
+      while (i < t) { cnt(touched(i)) = 0; i += 1 }
+    }
+  }
+
+  /** [[occurrences]] reads its hits in id order, instead of sorting them,
+    * when the touched ids span at most this many ids per touched id: a
+    * counter read costs far less than a comparison sort's work per hit.
+    */
+  private final val DenseRange = 32
+
+  /** The adjacency lists of `ids`, in their order. */
+  private[core] def listsOf(adj: Array[Array[Int]], ids: Array[Int]): Array[Array[Int]] = {
+    val out = new Array[Array[Int]](ids.length)
     var i = 0
-    while (i < lists.length) { total += lists(i).length; i += 1 }
-    val buf = new Array[Int](total)
-    var p = 0
-    i = 0
-    while (i < lists.length) {
-      System.arraycopy(lists(i), 0, buf, p, lists(i).length); p += lists(i).length; i += 1
-    }
-    java.util.Arrays.sort(buf)
-    val out = new mutable.ArrayBuffer[Int]
-    i = 0
-    while (i < buf.length) {
-      var j = i + 1
-      while (j < buf.length && buf(j) == buf(i)) j += 1
-      if (j - i >= need) out += buf(i)
-      i = j
-    }
-    out.toArray
+    while (i < ids.length) { out(i) = adj(ids(i)); i += 1 }
+    out
   }
 
   /** Candidate left vertices that could satisfy δ̄(v,R) ≤ k, ascending.
@@ -87,10 +166,7 @@ object Biplex {
     if (r.length <= k || r.length == g.nR) {
       return (0 until g.nL).iterator.filter(v => !VertexSets.contains(l, v)).toArray
     }
-    val byRight = new Array[Array[Int]](r.length)
-    var i = 0
-    while (i < r.length) { byRight(i) = g.adjR(r(i)); i += 1 }
-    VertexSets.diff(atLeastCount(byRight, r.length - k), l)
+    VertexSets.diff(occurrences(listsOf(g.adjR, r), r.length - k, g.nL).ids, l)
   }
 
   /** Does some right vertex outside R extend (L, R) to a larger k-biplex?
@@ -121,10 +197,7 @@ object Biplex {
       }
     } else if (l.length > k) {
       // u needs at least |L| - k neighbours in L, which also gives (b).
-      val lists = new Array[Array[Int]](l.length)
-      var i = 0
-      while (i < l.length) { lists(i) = g.adjL(l(i)); i += 1 }
-      atLeastCount(lists, l.length - k).exists(u => !VertexSets.contains(r, u))
+      occurrences(listsOf(g.adjL, l), l.length - k, g.nR).ids.exists(u => !VertexSets.contains(r, u))
     } else {
       // |L| <= k and no saturated left vertex: any outside u is addable.
       true

@@ -191,38 +191,44 @@ object ReverseSearch {
         true
       }
 
-      // Left-side seeds (all frameworks). In two-hop mode only vertices
-      // neighbouring R are seeded (see TraversalConfig.twoHopSeeds).
-      val leftSeeds: Iterator[Int] =
-        if (cfg.twoHopSeeds && r.length < g.nR) {
-          val lists = new Array[Array[Int]](r.length)
-          var i = 0
-          while (i < r.length) { lists(i) = g.adjR(r(i)); i += 1 }
-          Biplex.atLeastCount(lists, 1).iterator
-            .filter(v => seedFilter(v) && !VertexSets.contains(l, v))
-        } else {
-          (0 until g.nL).iterator.filter(v => seedFilter(v) && !VertexSets.contains(l, v))
-        }
-      while (ok && leftSeeds.hasNext) {
-        val v = leftSeeds.next()
-        if (timeUp()) { ok = false }
-        else {
-          // A seed already in the exclusion set forms no almost-satisfying
-          // graph: every local solution contains v, so handleLocal would
-          // prune them all. Then almost-satisfying-graph pruning (Section 5).
-          val skip = (cfg.exclusion && VertexSets.contains(xCur, v)) ||
-            (cfg.theta.isDefined && VertexSets.intersectCount(g.adjL(v), r) + k < thetaR)
-          if (!skip) {
-            easCalls += 1
-            ok = EnumAlmostSat.run(
-              g, k, l, r, v, cfg.eas,
-              emit = (lf, rp) => handleLocal(v, lf, rp),
-              minRight = thetaR,
-              deadlineNanos = deadlineNanos,
-              ctx = if (cfg.eas == EnumAlmostSat.Inflated) null else ctx,
-            )
+      // Left-side seeds (all frameworks), ascending. One count over R's
+      // adjacency lists gives |Γ(v) ∩ R| for the θ pruning and, in
+      // two-hop mode, the seeds themselves: the vertices neighbouring R
+      // (see TraversalConfig.twoHopSeeds).
+      val near =
+        if (cfg.twoHopSeeds || cfg.theta.isDefined) Biplex.occurrences(Biplex.listsOf(g.adjR, r), 1, g.nL)
+        else null
+      val twoHop = cfg.twoHopSeeds && r.length < g.nR
+      val nSeeds = if (twoHop) near.ids.length else g.nL
+      var i = 0
+      var p = 0 // first position of near.ids at or after the current seed
+      def common(v: Int): Int = {
+        while (p < near.ids.length && near.ids(p) < v) p += 1
+        if (p < near.ids.length && near.ids(p) == v) near.counts(p) else 0
+      }
+      while (ok && i < nSeeds) {
+        val v = if (twoHop) near.ids(i) else i
+        i += 1
+        if (seedFilter(v) && !VertexSets.contains(l, v)) {
+          if (timeUp()) ok = false
+          else {
+            // A seed already in the exclusion set forms no almost-satisfying
+            // graph: every local solution contains v, so handleLocal would
+            // prune them all. Then almost-satisfying-graph pruning (Section 5).
+            val skip = (cfg.exclusion && VertexSets.contains(xCur, v)) ||
+              (cfg.theta.isDefined && common(v) + k < thetaR)
+            if (!skip) {
+              easCalls += 1
+              ok = EnumAlmostSat.run(
+                g, k, l, r, v, cfg.eas,
+                emit = (lf, rp) => handleLocal(v, lf, rp),
+                minRight = thetaR,
+                deadlineNanos = deadlineNanos,
+                ctx = if (cfg.eas == EnumAlmostSat.Inflated) null else ctx,
+              )
+            }
+            if (ok && cfg.exclusion) xCur = VertexSets.add(xCur, v)
           }
-          if (ok && cfg.exclusion) xCur = VertexSets.add(xCur, v)
         }
       }
       // Right-side seeds (bTraversal only; pruned by left-anchored traversal).

@@ -31,9 +31,23 @@ object DistITraversal {
     *
     * `maxPerTask` bounds the number of solutions any one task reports
     * (0 = unbounded) — the distributed analogue of "first N MBPs".
+    * `deadlineNanos` is the run's absolute deadline (System.nanoTime
+    * scale, as for [[ReverseSearch.run]]); every task stops its traversal
+    * at it, so a run past its deadline returns only the MBPs found so far.
     */
-  def enumerate(spark: SparkSession, g: BipartiteGraph, k: Int, maxPerTask: Int = 0): DataFrame = {
+  def enumerate(
+      spark: SparkSession,
+      g: BipartiteGraph,
+      k: Int,
+      maxPerTask: Int = 0,
+      deadlineNanos: Long = Long.MaxValue,
+  ): DataFrame = {
     import spark.implicits._
+    // nanoTime has no common origin across JVMs: tasks get the deadline as
+    // wall-clock time and turn it back into their own nanoTime.
+    val deadlineMillis =
+      if (deadlineNanos == Long.MaxValue) Long.MaxValue
+      else System.currentTimeMillis + (deadlineNanos - System.nanoTime) / 1000000
     val h0 = Biplex.initialLeftAnchored(g, k)
 
     // Root seeds in sequential order.
@@ -56,6 +70,9 @@ object DistITraversal {
             n += 1
             maxPerTask <= 0 || n < maxPerTask
           },
+          deadlineNanos =
+            if (deadlineMillis == Long.MaxValue) Long.MaxValue
+            else System.nanoTime + (deadlineMillis - System.currentTimeMillis) * 1000000,
           rootRestrict = Some(ReverseSearch.RootRestrict(Array(all(i)), all.take(i))),
         )
         out
@@ -66,8 +83,13 @@ object DistITraversal {
   }
 
   /** Collect the distributed result as a solution set. */
-  def collectSolutions(spark: SparkSession, g: BipartiteGraph, k: Int): Set[Solution] =
-    enumerate(spark, g, k)
+  def collectSolutions(
+      spark: SparkSession,
+      g: BipartiteGraph,
+      k: Int,
+      deadlineNanos: Long = Long.MaxValue,
+  ): Set[Solution] =
+    enumerate(spark, g, k, deadlineNanos = deadlineNanos)
       .collect()
       .map { r =>
         Solution.of(r.getSeq[Int](0), r.getSeq[Int](1))

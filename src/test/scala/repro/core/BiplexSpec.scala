@@ -166,6 +166,57 @@ class BiplexSpec extends SparkSpec {
     }
   }
 
+  test("occurrences equals a naive count, called back to back on one thread") {
+    // One thread's scratch serves every call: a counter left non-zero by
+    // one call, or sized for another universe, would show in a later one.
+    val rnd = new Random(1300)
+    for (trial <- 0 until 400) {
+      val universe = 1 + rnd.nextInt(if (trial % 3 == 0) 5000 else 40)
+      val lists = Array.fill(rnd.nextInt(7)) {
+        rnd.nextInt(4) match {
+          case 0 => VertexSets.empty
+          case 1 => VertexSets.canonical(Seq.fill(rnd.nextInt(12))(rnd.nextInt(universe)) :+ (universe - 1))
+          case _ => VertexSets.canonical(Seq.fill(rnd.nextInt(12))(rnd.nextInt(universe)))
+        }
+      }
+      for (need <- 1 to lists.length + 2) {
+        val got = Biplex.occurrences(lists, need, universe)
+        val naive = lists.toSeq.flatMap(_.toSeq).groupBy(identity).view.mapValues(_.size)
+          .filter(_._2 >= need).toSeq.sorted
+        assert(got.ids.toSeq.zip(got.counts.toSeq) == naive,
+          s"trial $trial, universe $universe, need $need, lists ${lists.map(_.mkString("[", ",", "]")).mkString}")
+      }
+    }
+  }
+
+  test("a sink that calls the counting kernel leaves the traversal unchanged") {
+    // Two-hop seeds and θ counts come from the kernel and are read across
+    // the sink; a kernel that kept them in its scratch would be clobbered
+    // by the sink's own call.
+    val g = repro.gen.BipartiteGen.er(14, 14, 70, seed = 3)
+    for (cfg <- Seq(TraversalConfig.iTraversal.copy(twoHopSeeds = true),
+                    TraversalConfig.iTraversal.copy(theta = Some((2, 3)), twoHopSeeds = true))) {
+      val plain = scala.collection.mutable.ArrayBuffer.empty[Solution]
+      val plainStats = ReverseSearch.run(g, 1, cfg, s => { plain += s; true })
+      val seen = scala.collection.mutable.ArrayBuffer.empty[Solution]
+      val stats = ReverseSearch.run(g, 1, cfg, { s =>
+        val cands = Biplex.leftCandidates(g, 1, s.left, s.right)
+        // With R the whole right side, leftCandidates returns every vertex outside L.
+        val naive = (0 until g.nL).filter { v =>
+          !VertexSets.contains(s.left, v) &&
+            (s.right.length == g.nR || Biplex.dbarL(g, v, s.right) <= 1)
+        }
+        assert(cands.toSeq == naive, s"candidates of $s")
+        seen += s
+        true
+      })
+      assert(plain.size > 100, s"only ${plain.size} MBPs")
+      assert(seen == plain, cfg)
+      assert((stats.links, stats.easCalls, stats.solutions) ==
+        (plainStats.links, plainStats.easCalls, plainStats.solutions), cfg)
+    }
+  }
+
   test("hereditary property: subgraphs of a k-biplex are k-biplexes") {
     val rnd = new Random(77)
     for (k <- 1 to 2; (g, seed) <- TestGraphs.smallBatch(20, maxSide = 5, seed = 1100 + k)) {

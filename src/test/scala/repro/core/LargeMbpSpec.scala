@@ -42,6 +42,19 @@ class LargeMbpSpec extends SparkSpec {
     assert(LargeMbp.collectAll(g, 1, 3, 4) == exp)
   }
 
+  test("LargeMbp's links, EnumAlmostSat calls and solutions are pinned") {
+    // Recorded before the counting kernel replaced the sort-based count of
+    // two-hop seeds and candidates and the θ seed test's intersection; a
+    // change that moves them changes the traversal, not just its speed.
+    def counts(g: repro.graph.BipartiteGraph, thetaL: Int, thetaR: Int, firstN: Int) = {
+      var n = 0
+      val st = LargeMbp.enumerate(g, 1, thetaL, thetaR, _ => { n += 1; n < firstN })
+      (st.links, st.easCalls, st.solutions)
+    }
+    assert(counts(repro.gen.BipartiteGen.er(20, 20, 100, seed = 1), 3, 4, Int.MaxValue) == ((1472L, 920L, 280L)))
+    assert(counts(repro.gen.FraudGen.generate(seed = 1).graph, 4, 7, 1000) == ((2662L, 2257L, 1000L)))
+  }
+
   test("no large MBPs when theta exceeds the graph") {
     val g = TestGraphs.random(3, 3, 0.5, 778)
     assert(LargeMbp.collectAll(g, 1, 5, 5).isEmpty)

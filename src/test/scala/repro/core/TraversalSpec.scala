@@ -116,13 +116,14 @@ class TraversalSpec extends SparkSpec {
   }
 
   test("beyond brute-force size: iTraversal's links and solutions are pinned (k=1,2)") {
-    // Recorded before the exclusion strategy's seed skip and addability
-    // test, which must change neither. A traversal change that moves these
-    // counts changes the solution graph the DFS walks; update them only on
-    // purpose.
-    val pinned = Map(1 -> (34394L, 3187L), 2 -> (166813L, 9260L))
+    // (links, easCalls, solutions). Links and solutions were recorded
+    // before the exclusion strategy's seed skip and addability test,
+    // easCalls before the counting kernel; neither may move them. A
+    // traversal change that moves these counts changes the solution graph
+    // the DFS walks or the work per node; update them only on purpose.
+    val pinned = Map(1 -> (34394L, 20295L, 3187L), 2 -> (166813L, 28263L, 9260L))
     for ((k, _, (_, stats)) <- beyondBruteForce) {
-      assert((stats.links, stats.solutions) == pinned(k), s"k=$k")
+      assert((stats.links, stats.easCalls, stats.solutions) == pinned(k), s"k=$k")
     }
   }
 
@@ -176,5 +177,75 @@ class TraversalSpec extends SparkSpec {
       ReverseSearch.run(g, 1, TraversalConfig.iTraversal, s => { seen += s; true })
       assert(seen.size == seen.toSet.size, s"seed $seed: duplicates emitted")
     }
+  }
+
+  test("concurrent runs on 4 threads equal their sequential runs") {
+    // iTraversal and LargeMbp on four graphs at once. Traversals share one
+    // JVM in the distributed runner's executors; the counting kernel's
+    // scratch is per thread.
+    def firstLarge(g: BipartiteGraph, thetaL: Int, thetaR: Int): (Seq[Solution], (Long, Long, Long)) = {
+      val out = scala.collection.mutable.ArrayBuffer.empty[Solution]
+      val st = LargeMbp.enumerate(g, 1, thetaL, thetaR, s => { out += s; out.size < 1000 })
+      (out.toSeq, (st.links, st.easCalls, st.solutions))
+    }
+    def all(g: BipartiteGraph, k: Int): (Seq[Solution], (Long, Long, Long)) = {
+      val out = scala.collection.mutable.ArrayBuffer.empty[Solution]
+      val st = ReverseSearch.run(g, k, TraversalConfig.iTraversal, s => { out += s; true })
+      (out.toSeq, (st.links, st.easCalls, st.solutions))
+    }
+    val jobs: Seq[() => (Seq[Solution], (Long, Long, Long))] = Seq(
+      () => all(beyondBruteForce(0)._2, 1),
+      () => all(beyondBruteForce(1)._2, 2),
+      () => firstLarge(repro.gen.FraudGen.generate(seed = 1).graph, 4, 7),
+      () => firstLarge(repro.gen.FraudGen.generate(seed = 2).graph, 4, 7),
+    )
+    val sequential = jobs.map(_())
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(4)
+    try {
+      val start = new java.util.concurrent.CountDownLatch(1)
+      val running = jobs.map(job => pool.submit(() => { start.await(); job() }))
+      start.countDown()
+      for (((f, seq), i) <- running.zip(sequential).zipWithIndex) {
+        val got = f.get(120, java.util.concurrent.TimeUnit.SECONDS)
+        assert(got._2 == seq._2, s"job $i: counts")
+        assert(got._1 == seq._1, s"job $i: solutions")
+      }
+    } finally pool.shutdownNow()
+  }
+
+  test("budget: a deadline that fires mid-run aborts with distinct, maximal MBPs only") {
+    val g = BipartiteGen.er(40, 40, 400, seed = 5)
+    val seen = scala.collection.mutable.ArrayBuffer.empty[Solution]
+    val t0 = System.nanoTime
+    val stats = ReverseSearch.run(g, 1, TraversalConfig.iTraversal, s => { seen += s; true },
+      deadlineNanos = t0 + 300L * 1000000)
+    val secs = (System.nanoTime - t0) / 1e9
+    assert(stats.aborted)
+    assert(secs < 10, f"returned after $secs%.1f s")
+    assert(seen.size > 1, "the deadline fired before the traversal left H0")
+    assert(stats.solutions == seen.size)
+    assert(seen.size == seen.toSet.size, "duplicates")
+    seen.foreach(s => assert(Biplex.isMaximalKBiplex(g, 1, s.left, s.right), s"$s"))
+  }
+
+  test("budget: a sink that returns false gets no further calls") {
+    val g = BipartiteGen.er(20, 20, 100, seed = 1)
+    for (cfg <- Seq(TraversalConfig.iTraversal, TraversalConfig.bTraversal, TraversalConfig.iTraversalNoES)) {
+      var calls = 0
+      val stats = ReverseSearch.run(g, 1, cfg, _ => { calls += 1; calls < 5 })
+      assert(calls == 5, cfg)
+      assert(stats.solutions == 5 && !stats.aborted, cfg)
+    }
+  }
+
+  test("budget: an exception thrown in the sink propagates out of run with its own type") {
+    final class SinkFailure extends RuntimeException("sink failed")
+    val g = BipartiteGen.er(20, 20, 100, seed = 1)
+    var calls = 0
+    intercept[SinkFailure] {
+      // Thrown deep in the DFS, on the big-stack thread.
+      ReverseSearch.run(g, 1, TraversalConfig.iTraversal, _ => { calls += 1; if (calls == 50) throw new SinkFailure; true })
+    }
+    assert(calls == 50)
   }
 }

@@ -33,4 +33,16 @@ class DistITraversalSpec extends SparkSpec {
       assert(repro.core.Biplex.isMaximalKBiplex(g, 1, s.left, s.right))
     }
   }
+
+  test("an expired deadline returns promptly with valid MBPs only") {
+    // Complete enumeration of this graph takes minutes; every task must
+    // stop at the run's deadline.
+    val g = repro.gen.BipartiteGen.er(60, 60, 600, seed = 12300)
+    val t0 = System.nanoTime
+    val sols = DistITraversal.collectSolutions(spark, g, 1, deadlineNanos = t0)
+    val secs = (System.nanoTime - t0) / 1e9
+    assert(secs < 30, f"returned after $secs%.1f s")
+    assert(sols.nonEmpty)
+    sols.foreach(s => assert(repro.core.Biplex.isMaximalKBiplex(g, 1, s.left, s.right), s"$s"))
+  }
 }
