@@ -157,7 +157,7 @@ object Experiments {
           deadlineNanos = Harness.deadline()))
       // iMB with the same (theta-k)-core pre-reduction (as the paper does).
       var n2 = 0L
-      val (coreL, coreR) = CoreReduction.dCore(g, theta - k)
+      val (coreL, coreR) = CoreReduction.alphaBetaCore(g, theta - k, theta - k)
       val (sub, _, _) = g.inducedSubgraph(coreL, coreR)
       val (completed, ms2) = Harness.timed(
         IMB.enumerate(sub, k, s => { n2 += 1; true }, theta, theta, Harness.deadline()))

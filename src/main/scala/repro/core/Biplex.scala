@@ -157,16 +157,16 @@ object Biplex {
   /** Candidate left vertices that could satisfy δ̄(v,R) ≤ k, ascending.
     *
     * A superset of the truly addable vertices outside L; callers re-check
-    * with [[addableL]]. When |R| > k an addable vertex needs at least
-    * |R| − k right neighbours in R, so it is found by counting neighbours
-    * of R; when |R| ≤ k (or R is the full side) every outside vertex
-    * qualifies degree-wise and the universe is scanned.
+    * with [[addableL]]. A candidate needs at least |R| − k neighbours in R.
+    * When R is the full right side that is its degree, and when |R| ≤ k
+    * every vertex qualifies, so the universe is scanned; otherwise the
+    * neighbours of R are counted.
     */
   def leftCandidates(g: BipartiteGraph, k: Int, l: Array[Int], r: Array[Int]): Array[Int] = {
-    if (r.length <= k || r.length == g.nR) {
-      return (0 until g.nL).iterator.filter(v => !VertexSets.contains(l, v)).toArray
-    }
-    VertexSets.diff(occurrences(listsOf(g.adjR, r), r.length - k, g.nL).ids, l)
+    val need = r.length - k
+    if (r.length == g.nR || need <= 0)
+      (0 until g.nL).iterator.filter(v => g.degL(v) >= need && !VertexSets.contains(l, v)).toArray
+    else VertexSets.diff(occurrences(listsOf(g.adjR, r), need, g.nL).ids, l)
   }
 
   /** Does some right vertex outside R extend (L, R) to a larger k-biplex?
@@ -229,44 +229,52 @@ object Biplex {
       r0: Array[Int],
       leftOnly: Boolean,
   ): Solution = {
-    val l = extendLeftPass(g, k, l0, r0, VertexSets.empty)
-    val r = if (leftOnly) r0 else extendLeftPass(g.flipped, k, r0, l, VertexSets.empty)
+    val l = extendLeftPass(g, k, l0, r0, null)
+    val r = if (leftOnly) r0 else extendLeftPass(g.flipped, k, r0, l, null)
     Solution(l, r)
   }
 
   /** Left-only extension under the exclusion strategy (Algorithm 2): one
-    * ascending pass over the left vertices outside X, then a test whether
-    * some x ∈ X is still addable to its result (L', R). If one is, returns
-    * None: every maximal extension of (L', R) would then contain a vertex
-    * of X — an ascending pass adds the first such x it reaches, because
-    * addability only falls as L grows. Otherwise (L', R) is maximal and
-    * avoids X. X must be sorted and disjoint from L.
+    * ascending pass over the left vertices outside the exclusion set X,
+    * then a test whether some x ∈ X is still addable to its result (L', R).
+    * If one is, returns None: every maximal extension of (L', R) would then
+    * contain a vertex of X — an ascending pass adds the first such x it
+    * reaches, because addability only falls as L grows. Otherwise (L', R)
+    * is maximal and avoids X. `excluded` marks X by left id; X must be
+    * disjoint from L.
     */
   def extendExcluding(
       g: BipartiteGraph,
       k: Int,
       l0: Array[Int],
       r0: Array[Int],
-      x: Array[Int],
+      excluded: Array[Boolean],
   ): Option[Solution] = {
-    val l = extendLeftPass(g, k, l0, r0, x)
+    val l = extendLeftPass(g, k, l0, r0, excluded)
     if (l == null) None else Some(Solution(l, r0))
   }
 
-  /** One maximal-growing pass over the left candidates outside `exclude`,
-    * with incremental bookkeeping: δ̄(u, L) per u ∈ R and the saturated set
-    * are updated on each accepted vertex instead of recomputed per
-    * candidate. Addability is monotone non-increasing, so a single
-    * ascending pass over a candidate superset yields a result maximal among
-    * vertices outside `exclude`. Returns null iff some vertex of `exclude`
-    * is addable to that result.
+  /** One maximal-growing pass over the left candidates, with incremental
+    * bookkeeping: δ̄(u, L) per u ∈ R and the saturated set are updated on
+    * each accepted vertex instead of recomputed per candidate. Addability
+    * is monotone non-increasing, so a single ascending pass over a
+    * candidate superset yields a result maximal among the vertices outside
+    * the exclusion set (`excluded` marks it by left id, or is null when
+    * there is none).
+    *
+    * One rule covers excluded vertices: one the pass reaches is set aside,
+    * and after the pass each set-aside vertex is tested for addability; the
+    * pass returns null iff one is addable. An excluded vertex the pass
+    * never reaches cannot be addable: it is outside the candidate superset,
+    * or it is not adjacent to a right vertex that was already saturated,
+    * and saturation only grows.
     */
   private def extendLeftPass(
       g: BipartiteGraph,
       k: Int,
       l0: Array[Int],
       r: Array[Int],
-      exclude: Array[Int],
+      excluded: Array[Boolean],
   ): Array[Int] = {
     val fullRight = r.length == g.nR
     val dbar = new Array[Int](r.length)
@@ -277,23 +285,12 @@ object Biplex {
       if (dbar(i) == k) satR = VertexSets.add(satR, r(i))
       i += 1
     }
-    // Accepted vertices are buffered (candidates arrive in ascending order,
-    // so the buffer stays sorted) and merged into l0 once at the end —
-    // re-allocating the set per add would be quadratic when a pass accepts
-    // a large fraction of the universe (e.g. extending toward (L, ∅)).
-    val added = new mutable.ArrayBuffer[Int]
-    def inCurrent(v: Int): Boolean = {
-      if (VertexSets.contains(l0, v)) return true
-      var lo = 0
-      var hi = added.length - 1
-      while (lo <= hi) {
-        val mid = (lo + hi) >>> 1
-        val x = added(mid)
-        if (x == v) return true
-        if (x < v) lo = mid + 1 else hi = mid - 1
-      }
-      false
-    }
+    // Candidates arrive ascending, each once, so both buffers stay sorted;
+    // accepted vertices are merged into l0 once at the end — re-allocating
+    // the set per add would be quadratic when a pass accepts a large
+    // fraction of the universe (e.g. extending toward (L, ∅)).
+    val added = new mutable.ArrayBuilder.ofInt
+    val setAside = new mutable.ArrayBuilder.ofInt
 
     /** Is a left vertex v ∉ L with neighbours nb addable to the current
       * (L, R): δ̄(v, R) ≤ k and v adjacent to every saturated u ∈ R?
@@ -309,11 +306,13 @@ object Biplex {
       true
     }
 
-    /** Check v and, if addable, add it and update the bookkeeping. */
-    def tryAdd(v: Int): Boolean = {
-      if (VertexSets.contains(exclude, v) || inCurrent(v)) return false
+    /** Set aside an excluded candidate v ∉ L; otherwise add v if it is
+      * addable and update the bookkeeping.
+      */
+    def tryAdd(v: Int): Unit = {
+      if (excluded != null && excluded(v)) { setAside += v; return }
       val nb = g.adjL(v)
-      if (!addable(nb)) return false
+      if (!addable(nb)) return
       added += v
       var j = 0
       while (j < r.length) {
@@ -323,32 +322,19 @@ object Biplex {
         }
         j += 1
       }
-      true
     }
 
-    // Vertices of `exclude` that the pass's candidate set admits; the
-    // candidate sets below are supersets of the addable vertices.
-    var excludedCands = exclude
-    if (r.length > k && !fullRight) {
+    if (r.length > k) {
       val cands = leftCandidates(g, k, l0, r)
-      if (exclude.nonEmpty) excludedCands = VertexSets.intersect(cands, exclude)
       var c = 0
       while (c < cands.length) { tryAdd(cands(c)); c += 1 }
-    } else if (r.length > k) {
-      // R is the full right side (H0 construction): degree prefilter only.
-      var v = 0
-      val need = g.nR - k
-      while (v < g.nL) {
-        if (g.adjL(v).length >= need) tryAdd(v)
-        v += 1
-      }
     } else {
       // |R| <= k: every vertex passes the degree test. Phase A adds
       // greedily while nothing is saturated; once some u saturates, only
       // common neighbours of the saturated set remain addable (Phase B),
       // which avoids scanning the whole left universe.
       var v = 0
-      while (v < g.nL && satR.isEmpty) { tryAdd(v); v += 1 }
+      while (v < g.nL && satR.isEmpty) { if (!VertexSets.contains(l0, v)) tryAdd(v); v += 1 }
       if (v < g.nL && satR.nonEmpty) {
         var common: Array[Int] = null
         def recompute(): Unit = {
@@ -365,19 +351,16 @@ object Biplex {
           else {
             val cand = common(idx)
             val satBefore = satR.length
-            tryAdd(cand)
+            if (!VertexSets.contains(l0, cand)) tryAdd(cand)
             v = cand + 1
             if (satR.length != satBefore) recompute()
           }
         }
       }
     }
-    var e = 0
-    while (e < excludedCands.length) {
-      if (addable(g.adjL(excludedCands(e)))) return null
-      e += 1
-    }
-    if (added.isEmpty) l0 else VertexSets.union(l0, added.toArray)
+    if (setAside.result().exists(x => addable(g.adjL(x)))) return null
+    val a = added.result()
+    if (a.isEmpty) l0 else VertexSets.union(l0, a)
   }
 
   /** The paper's initial solution H0 = (L0, R_all): greedily grow L0 from ∅. */

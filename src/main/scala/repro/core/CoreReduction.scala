@@ -42,8 +42,4 @@ object CoreReduction {
     }
     ((0 until g.nL).filterNot(goneL).toArray, (0 until g.nR).filterNot(goneR).toArray)
   }
-
-  /** The (d,d)-core — the paper's "(θ−k)-core" with d = θ − k. */
-  def dCore(g: BipartiteGraph, d: Int): (Array[Int], Array[Int]) =
-    alphaBetaCore(g, d, d)
 }

@@ -44,14 +44,6 @@ object LargeMbp {
     )
   }
 
-  /** Symmetric threshold, as in Figure 10. */
-  def enumerate(
-      g: BipartiteGraph,
-      k: Int,
-      theta: Int,
-      sink: Solution => Boolean,
-  ): EnumStats = enumerate(g, k, theta, theta, sink)
-
   /** Collect all large MBPs (small graphs / tests). */
   def collectAll(g: BipartiteGraph, k: Int, thetaL: Int, thetaR: Int): Set[Solution] = {
     val out = scala.collection.mutable.HashSet.empty[Solution]

@@ -105,7 +105,7 @@ object ReverseSearch {
     *                  unrestricted)
     * @param exclusion initial exclusion set (the snapshot the sequential
     *                  run would have had when reaching the first seed;
-    *                  disjoint from H0's left side)
+    *                  disjoint from H0's left side), marked once at the root
     */
   final case class RootRestrict(seeds: Array[Int], exclusion: Array[Int])
 
@@ -132,7 +132,16 @@ object ReverseSearch {
     var easCalls = 0L
     var deadlineHit = false
     val (thetaL, thetaR) = cfg.theta.getOrElse((0, 0))
-    val visited = new mutable.HashSet[Vector[Int]]
+    val visited = new mutable.HashSet[Solution]
+    // The exclusion set (Algorithm 2) of the node being expanded: a mark per
+    // left id, and the marked ids in marking order. A node marks its seeds
+    // as it processes them and unmarks back to its entry height before it
+    // returns, so the set grows and shrinks with the DFS like a stack.
+    val excluded = if (cfg.exclusion) new Array[Boolean](g.nL) else null
+    val marked = if (cfg.exclusion) new Array[Int](g.nL) else null
+    var nMarked = 0
+    def mark(v: Int): Unit =
+      if (!excluded(v)) { excluded(v) = true; marked(nMarked) = v; nMarked += 1 }
 
     def timeUp(): Boolean = {
       val up = System.nanoTime >= deadlineNanos
@@ -146,14 +155,14 @@ object ReverseSearch {
       else { solutions += 1; sink(s) }
     }
 
-    /** The (i)ThreeStep procedure from solution (l, r) with exclusion set x.
-      * `seedFilter` restricts the seeds processed at this node (root-level
-      * task splitting); recursive calls are unrestricted.
+    /** The (i)ThreeStep procedure from solution (l, r) under the current
+      * exclusion set. `seedFilter` restricts the seeds processed at this
+      * node (root-level task splitting); recursive calls are unrestricted.
       */
-    def expand(l: Array[Int], r: Array[Int], x: Array[Int], seedFilter: Int => Boolean = _ => true): Boolean = {
+    def expand(l: Array[Int], r: Array[Int], seedFilter: Int => Boolean = _ => true): Boolean = {
       if (r.length < thetaR) return true // solution pruning
-      if (cfg.exclusion && g.nL - x.length < thetaL) return true // left-side pruning
-      var xCur = x
+      if (cfg.exclusion && g.nL - nMarked < thetaL) return true // left-side pruning
+      val entryMarked = nMarked
       var ok = true
       // Disconnection structures of (l, r), shared by every seed's
       // EnumAlmostSat call (one ThreeStep = one solution).
@@ -168,12 +177,12 @@ object ReverseSearch {
         // solutions that still admit a vertex from the right universe.
         if (cfg.rightShrinking && admitsRightVertex(g, k, ctx, v, lFull, rPrime)) return true
         if (!cfg.exclusion) return follow(Biplex.extend(g, k, lFull, rPrime, leftOnly = cfg.rightShrinking))
-        // lFull avoids xCur: v is not excluded (seed loop), and l avoids
-        // every vertex excluded at this node — those inherited because the
-        // extension toward l avoided them, the rest because l's members are
-        // not seeds here. A link whose extension would take in an excluded
-        // vertex is traversed (counted) but not followed.
-        Biplex.extendExcluding(g, k, lFull, rPrime, xCur) match {
+        // lFull avoids the exclusion set: v is not excluded (seed loop), and
+        // l avoids every vertex excluded at this node — those inherited
+        // because the extension toward l avoided them, the rest because l's
+        // members are not seeds here. A link whose extension would take in
+        // an excluded vertex is traversed (counted) but not followed.
+        Biplex.extendExcluding(g, k, lFull, rPrime, excluded) match {
           case Some(ext) => follow(ext)
           case None      => links += 1; true
         }
@@ -182,16 +191,15 @@ object ReverseSearch {
       /** Traverse the link toward the extended solution ext. */
       def follow(ext: Solution): Boolean = {
         links += 1
-        val key = ext.key(g.nL)
-        if (!visited.contains(key)) {
-          visited += key
+        if (visited.add(ext)) {
           if (!report(ext)) return false
-          if (!expand(ext.left, ext.right, xCur)) return false
+          if (!expand(ext.left, ext.right)) return false
         }
         true
       }
 
-      // Left-side seeds (all frameworks), ascending. One count over R's
+      // Left-side seeds (all frameworks), ascending, so membership in l and
+      // the counts below are read by merge pointers. One count over R's
       // adjacency lists gives |Γ(v) ∩ R| for the θ pruning and, in
       // two-hop mode, the seeds themselves: the vertices neighbouring R
       // (see TraversalConfig.twoHopSeeds).
@@ -206,16 +214,21 @@ object ReverseSearch {
         while (p < near.ids.length && near.ids(p) < v) p += 1
         if (p < near.ids.length && near.ids(p) == v) near.counts(p) else 0
       }
+      var q = 0 // first position of l at or after the current seed
+      def inL(v: Int): Boolean = {
+        while (q < l.length && l(q) < v) q += 1
+        q < l.length && l(q) == v
+      }
       while (ok && i < nSeeds) {
         val v = if (twoHop) near.ids(i) else i
         i += 1
-        if (seedFilter(v) && !VertexSets.contains(l, v)) {
+        if (seedFilter(v) && !inL(v)) {
           if (timeUp()) ok = false
           else {
             // A seed already in the exclusion set forms no almost-satisfying
             // graph: every local solution contains v, so handleLocal would
             // prune them all. Then almost-satisfying-graph pruning (Section 5).
-            val skip = (cfg.exclusion && VertexSets.contains(xCur, v)) ||
+            val skip = (cfg.exclusion && excluded(v)) ||
               (cfg.theta.isDefined && common(v) + k < thetaR)
             if (!skip) {
               easCalls += 1
@@ -227,7 +240,7 @@ object ReverseSearch {
                 ctx = if (cfg.eas == EnumAlmostSat.Inflated) null else ctx,
               )
             }
-            if (ok && cfg.exclusion) xCur = VertexSets.add(xCur, v)
+            if (ok && cfg.exclusion) mark(v)
           }
         }
       }
@@ -250,18 +263,21 @@ object ReverseSearch {
           }
         }
       }
+      // Leave the exclusion set as this node found it.
+      while (nMarked > entryMarked) { nMarked -= 1; excluded(marked(nMarked)) = false }
       ok
     }
 
     val h0 =
       if (cfg.leftAnchored) Biplex.initialLeftAnchored(g, k)
       else Biplex.initialArbitrary(g, k)
-    visited += h0.key(g.nL)
+    visited += h0
     rootRestrict match {
       case None =>
-        if (report(h0)) expand(h0.left, h0.right, VertexSets.empty)
+        if (report(h0)) expand(h0.left, h0.right)
       case Some(rr) =>
-        expand(h0.left, h0.right, rr.exclusion, v => VertexSets.contains(rr.seeds, v))
+        if (cfg.exclusion) rr.exclusion.foreach(mark)
+        expand(h0.left, h0.right, v => VertexSets.contains(rr.seeds, v))
     }
     // A deadline that fired inside EnumAlmostSat short-circuits without
     // passing through timeUp(); catch it here.
@@ -306,8 +322,9 @@ object ReverseSearch {
       rPrime: Array[Int],
   ): Boolean = {
     if (rPrime.length == g.nR) return false
-    // Saturated members of lFull: δ̄(w, R') == k.
-    var sat = VertexSets.empty
+    // Saturated members of lFull (δ̄(w, R') == k), ascending as lFull is.
+    val sat = new Array[Int](lFull.length)
+    var nSat = 0
     var i = 0
     while (i < lFull.length) {
       val w = lFull(i)
@@ -323,10 +340,10 @@ object ReverseSearch {
           }
           c
         }
-      if (d == k) sat = VertexSets.add(sat, w)
+      if (d == k) { sat(nSat) = w; nSat += 1 }
       i += 1
     }
-    Biplex.searchAddableRight(g, k, lFull, rPrime, sat)
+    Biplex.searchAddableRight(g, k, lFull, rPrime, java.util.Arrays.copyOf(sat, nSat))
   }
 }
 

@@ -4,13 +4,16 @@ import repro.graph.VertexSets
 
 /** One (maximal) k-biplex: sorted left ids + sorted right ids.
   *
-  * `key` is the canonical dedup key stored in the visited set (the paper's
-  * B-tree): left ids followed by right ids offset by `nL`, making two
-  * solutions equal iff they induce the same vertex set.
+  * Equality and hash compare the two id arrays, so a solution is its own
+  * dedup key: the traversal's visited set (the paper's B-tree) stores
+  * solutions directly.
   */
 final case class Solution(left: Array[Int], right: Array[Int]) {
 
-  /** Canonical key for dedup; nL disambiguates the two id spaces. */
+  /** Left ids followed by right ids offset by `nL`: equal for two
+    * solutions iff they are equal. Kept for `itbench`'s replay of the
+    * traversal, which times building it; the engine does not call it.
+    */
   def key(nL: Int): Vector[Int] =
     (left.iterator ++ right.iterator.map(_ + nL)).toVector
 

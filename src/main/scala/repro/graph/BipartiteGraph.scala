@@ -41,20 +41,22 @@ final class BipartiteGraph(
     (0 until nL).iterator.flatMap(v => adjL(v).iterator.map(u => (v, u)))
 
   /** Induced subgraph on (keepL, keepR), with vertex ids compacted.
+    * Both keep arrays must be strictly ascending; new ids then follow the
+    * old ones in order, so remapped adjacency lists stay sorted.
     *
     * Returns the subgraph plus the maps from new ids back to original ids.
     */
   def inducedSubgraph(keepL: Array[Int], keepR: Array[Int]): (BipartiteGraph, Array[Int], Array[Int]) = {
-    val mapL = new mutable.HashMap[Int, Int]
-    val mapR = new mutable.HashMap[Int, Int]
-    keepL.zipWithIndex.foreach { case (v, i) => mapL(v) = i }
-    keepR.zipWithIndex.foreach { case (u, i) => mapR(u) = i }
-    val newAdjL = keepL.map { v =>
-      adjL(v).collect { case u if mapR.contains(u) => mapR(u) }.sorted
+    def newIds(keep: Array[Int], n: Int): Array[Int] = {
+      require(keep.indices.drop(1).forall(i => keep(i - 1) < keep(i)), "keep arrays must be strictly ascending")
+      val id = Array.fill(n)(-1)
+      keep.indices.foreach(i => id(keep(i)) = i)
+      id
     }
-    val newAdjR = keepR.map { u =>
-      adjR(u).collect { case v if mapL.contains(v) => mapL(v) }.sorted
-    }
+    val idL = newIds(keepL, nL)
+    val idR = newIds(keepR, nR)
+    val newAdjL = keepL.map(v => adjL(v).map(u => idR(u)).filter(_ >= 0))
+    val newAdjR = keepR.map(u => adjR(u).map(v => idL(v)).filter(_ >= 0))
     (new BipartiteGraph(keepL.length, keepR.length, newAdjL, newAdjR), keepL, keepR)
   }
 

@@ -89,7 +89,9 @@ class BiplexSpec extends SparkSpec {
              Biplex.addableL(g, k, v, first, r)) first = VertexSets.add(first, v)
       val excludedAddable = x.exists(Biplex.addableL(g, k, _, first, r))
       val what = s"seed $seed k=$k L=${l.toSeq} R=${r.toSeq} X=${x.toSeq}"
-      Biplex.extendExcluding(g, k, l, r, x) match {
+      val marks = new Array[Boolean](g.nL)
+      x.foreach(marks(_) = true)
+      Biplex.extendExcluding(g, k, l, r, marks) match {
         case None =>
           excluded += 1
           assert(excludedAddable, s"$what: reported excluded, but no x is addable to ${first.toSeq}")
@@ -201,11 +203,8 @@ class BiplexSpec extends SparkSpec {
       val seen = scala.collection.mutable.ArrayBuffer.empty[Solution]
       val stats = ReverseSearch.run(g, 1, cfg, { s =>
         val cands = Biplex.leftCandidates(g, 1, s.left, s.right)
-        // With R the whole right side, leftCandidates returns every vertex outside L.
-        val naive = (0 until g.nL).filter { v =>
-          !VertexSets.contains(s.left, v) &&
-            (s.right.length == g.nR || Biplex.dbarL(g, v, s.right) <= 1)
-        }
+        val naive = (0 until g.nL).filter(v =>
+          !VertexSets.contains(s.left, v) && Biplex.dbarL(g, v, s.right) <= 1)
         assert(cands.toSeq == naive, s"candidates of $s")
         seen += s
         true

@@ -40,7 +40,7 @@ class CoreReductionSpec extends SparkSpec {
 
   test("dCore with d <= 0 keeps everything") {
     val g = TestGraphs.random(5, 5, 0.3, 123)
-    val (ls, rs) = CoreReduction.dCore(g, 0)
+    val (ls, rs) = CoreReduction.alphaBetaCore(g, 0, 0)
     assert(ls.length == 5 && rs.length == 5)
   }
 
@@ -49,7 +49,7 @@ class CoreReductionSpec extends SparkSpec {
       val k = 1
       val theta = 2
       val large = BruteForce.largeMaximalKBiplexes(g, k, theta)
-      val (ls, rs) = CoreReduction.dCore(g, theta - k)
+      val (ls, rs) = CoreReduction.alphaBetaCore(g, theta - k, theta - k)
       val lsSet = ls.toSet
       val rsSet = rs.toSet
       large.foreach { s =>

@@ -63,6 +63,9 @@ class BipartiteGraphSpec extends SparkSpec {
         assert(sub.hasEdge(i, j) == g.hasEdge(backL(i), backR(j)), s"seed $seed")
       }
     }
+    val g = TestGraphs.random(4, 4, 0.5, 3)
+    intercept[IllegalArgumentException](g.inducedSubgraph(Array(2, 1), Array(0)))
+    intercept[IllegalArgumentException](g.inducedSubgraph(Array(1), Array(0, 0)))
   }
 
   test("edges iterator matches adjacency") {
