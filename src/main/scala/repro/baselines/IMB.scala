@@ -60,29 +60,21 @@ object IMB {
           return sink(Solution(l, r))
         return true
       }
-      if (candL.nonEmpty) {
-        val w = candL(0)
-        val rest = candL.drop(1)
-        // Include w.
-        val l2 = VertexSets.add(l, w)
-        val cL = filt(rest, x => Biplex.addableL(g, k, x, l2, r))
-        val cR = filt(candR, x => Biplex.addableR(g, k, x, l2, r))
-        val eL = filt(exclL, x => Biplex.addableL(g, k, x, l2, r))
-        val eR = filt(exclR, x => Biplex.addableR(g, k, x, l2, r))
-        if (timedOut || !rec(l2, r, cL, cR, eL, eR)) return false
-        // Exclude w.
-        rec(l, r, rest, candR, VertexSets.add(exclL, w), exclR)
-      } else {
-        val w = candR(0)
-        val rest = candR.drop(1)
-        val r2 = VertexSets.add(r, w)
-        val cL = filt(candL, x => Biplex.addableL(g, k, x, l, r2))
-        val cR = filt(rest, x => Biplex.addableR(g, k, x, l, r2))
-        val eL = filt(exclL, x => Biplex.addableL(g, k, x, l, r2))
-        val eR = filt(exclR, x => Biplex.addableR(g, k, x, l, r2))
-        if (timedOut || !rec(l, r2, cL, cR, eL, eR)) return false
-        rec(l, r, candL, rest, exclL, VertexSets.add(exclR, w))
-      }
+      // Branch on the first candidate, left side first: include it, then
+      // exclude it.
+      val onLeft = candL.nonEmpty
+      val w = if (onLeft) candL(0) else candR(0)
+      val restL = if (onLeft) candL.drop(1) else candL
+      val restR = if (onLeft) candR else candR.drop(1)
+      val l2 = if (onLeft) VertexSets.add(l, w) else l
+      val r2 = if (onLeft) r else VertexSets.add(r, w)
+      val cL = filt(restL, x => Biplex.addableL(g, k, x, l2, r2))
+      val cR = filt(restR, x => Biplex.addableR(g, k, x, l2, r2))
+      val eL = filt(exclL, x => Biplex.addableL(g, k, x, l2, r2))
+      val eR = filt(exclR, x => Biplex.addableR(g, k, x, l2, r2))
+      if (timedOut || !rec(l2, r2, cL, cR, eL, eR)) return false
+      if (onLeft) rec(l, r, restL, restR, VertexSets.add(exclL, w), exclR)
+      else rec(l, r, restL, restR, exclL, VertexSets.add(exclR, w))
     }
 
     rec(

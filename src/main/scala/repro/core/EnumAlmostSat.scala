@@ -47,8 +47,7 @@ object EnumAlmostSat {
   final class SolutionCtx(
       val l: Array[Int],
       val r: Array[Int],
-      val dbarR: Array[Int],          // δ̄(u, L) for u = r(i)
-      val nbarR: Array[Array[Int]],   // non-neighbours of r(i) within L, sorted
+      val nbarR: Array[Array[Int]],   // non-neighbours of r(i) within L, sorted; length δ̄(r(i), L)
       val nbarL: Array[Array[Int]],   // non-neighbours of l(i) within R, sorted
   ) {
     def posR(u: Int): Int = java.util.Arrays.binarySearch(r, u)
@@ -58,11 +57,9 @@ object EnumAlmostSat {
   /** Build the context for solution (L, R) in O((|L|+|R|)·(deg+side)). */
   def buildCtx(g: BipartiteGraph, l: Array[Int], r: Array[Int]): SolutionCtx = {
     val nbarR = new Array[Array[Int]](r.length)
-    val dbarR = new Array[Int](r.length)
     var i = 0
     while (i < r.length) {
       nbarR(i) = VertexSets.diff(l, g.adjR(r(i)))
-      dbarR(i) = nbarR(i).length
       i += 1
     }
     val nbarL = new Array[Array[Int]](l.length)
@@ -71,7 +68,7 @@ object EnumAlmostSat {
       nbarL(i) = VertexSets.diff(r, g.adjL(l(i)))
       i += 1
     }
-    new SolutionCtx(l, r, dbarR, nbarR, nbarL)
+    new SolutionCtx(l, r, nbarR, nbarL)
   }
 
   /** Enumerate local solutions of the almost-satisfying graph (L∪{v}, R).
@@ -125,8 +122,8 @@ object EnumAlmostSat {
     val rKeep = VertexSets.intersect(adjV, r) // Lemma 4.1: always kept
     val rEnum = VertexSets.diff(r, adjV)
     // Partition of R_enum by δ̄(u, L) (Section 4.2).
-    val e1 = rEnum.filter(u => ctx.dbarR(ctx.posR(u)) <= k - 1)
-    val e2 = rEnum.filter(u => ctx.dbarR(ctx.posR(u)) == k)
+    val e1 = rEnum.filter(u => ctx.nbarR(ctx.posR(u)).length <= k - 1)
+    val e2 = rEnum.filter(u => ctx.nbarR(ctx.posR(u)).length == k)
     // δ̄(w, R_keep) per left vertex = |nbarL(w) ∩ Γ(v)| (≤ k entries each).
     val dbarKeep = new Array[Int](l.length)
     var i = 0
@@ -151,7 +148,7 @@ object EnumAlmostSat {
       var a = 0
       while (a < rpp.length) {
         val p = ctx.posR(rpp(a))
-        if (ctx.dbarR(p) - VertexSets.intersectCount(ctx.nbarR(p), lBar) + 1 > k) return false
+        if (ctx.nbarR(p).length - VertexSets.intersectCount(ctx.nbarR(p), lBar) + 1 > k) return false
         a += 1
       }
       // (a) w ∈ L' gaining disconnections from R'': δ̄(w, R') ≤ k.
@@ -194,7 +191,7 @@ object EnumAlmostSat {
             val inRpp = VertexSets.contains(rpp, u)
             if (inRpp || VertexSets.contains(adjV, u)) { // u ∈ R'
               val p = ctx.posR(u)
-              val dU = ctx.dbarR(p) - VertexSets.intersectCount(ctx.nbarR(p), lBar) +
+              val dU = ctx.nbarR(p).length - VertexSets.intersectCount(ctx.nbarR(p), lBar) +
                 (if (inRpp) 1 else 0) // v disconnects u iff u ∈ R''
               if (dU >= k) blocked = true
             }
@@ -215,7 +212,7 @@ object EnumAlmostSat {
           while (b < nb.length) {
             val u = nb(b)
             if (!VertexSets.contains(adjV, u) && !VertexSets.contains(rpp, u) &&
-                ctx.dbarR(ctx.posR(u)) == k) return false
+                ctx.nbarR(ctx.posR(u)).length == k) return false
             b += 1
           }
           a += 1
@@ -229,7 +226,7 @@ object EnumAlmostSat {
       if (System.nanoTime >= deadlineNanos) return false
       if (rKeep.length + rpp.length < minRight) return true
       // Violators: members of R'' already at δ̄(u,L) = k (Lemma 4.3).
-      val r2pp = rpp.filter(u => ctx.dbarR(ctx.posR(u)) == k)
+      val r2pp = rpp.filter(u => ctx.nbarR(ctx.posR(u)).length == k)
       // L_remo = left vertices disconnecting ≥ 1 violator (≤ k² ids).
       var lRemo = VertexSets.empty
       var a = 0

@@ -31,7 +31,7 @@ object LargeMbp {
     require(thetaL >= 1 && thetaR >= 1, s"thetas must be positive, got ($thetaL,$thetaR)")
     val (coreL, coreR) = CoreReduction.alphaBetaCore(g, thetaR - k, thetaL - k)
     if (coreL.length < thetaL || coreR.length < thetaR)
-      return EnumStats(0, 0, 0, aborted = false, 0)
+      return EnumStats(0, 0, 0, aborted = false)
     val (sub, backL, backR) = g.inducedSubgraph(coreL, coreR)
     // Two-hop seeding is lossless whenever the right-side threshold
     // exceeds k (every large MBP then has |R| > k).

@@ -10,13 +10,14 @@ import scala.collection.mutable
   * prunings — the quantity plotted in Figure 11. `easCalls` counts only the
   * EnumAlmostSat calls made (almost-satisfying graphs formed): a seed skipped
   * by the θ pruning or because it is already excluded is not counted.
+  * `aborted` means the deadline fired; a sink that returns false ends the
+  * run without setting it.
   */
 final case class EnumStats(
     solutions: Long,
     links: Long,
     easCalls: Long,
     aborted: Boolean,
-    millis: Long,
 )
 
 /** Sparsification level of the traversal. The paper's techniques stack:
@@ -97,23 +98,17 @@ object TraversalConfig {
   */
 object ReverseSearch {
 
-  /** Restriction of the root expansion — used by the distributed runner to
-    * ship one root-level subtree per task. A restricted run does not report
-    * H0 itself.
-    *
-    * @param seeds     left seeds to process at the root (deeper levels are
-    *                  unrestricted)
-    * @param exclusion initial exclusion set (the snapshot the sequential
-    *                  run would have had when reaching the first seed;
-    *                  disjoint from H0's left side), marked once at the root
-    */
-  final case class RootRestrict(seeds: Array[Int], exclusion: Array[Int])
-
   /** Enumerate maximal k-biplexes of g.
     *
     * `sink` receives each solution exactly once (pre-order); returning
     * false aborts the run ("first N MBPs"). `deadlineNanos` (absolute,
     * System.nanoTime scale) aborts long runs — the paper's INF budget.
+    *
+    * `rootSeed` ≥ 0 runs only the root subtree of that left seed — the
+    * distributed runner's unit of work. The root marks the seeds before it,
+    * so its subtree starts from the exclusion set the full run has there,
+    * and does not report H0. A `rootSeed` inside H0's left side reports
+    * nothing.
     *
     * The DFS runs in a dedicated 512 MB-stack thread because solution
     * graphs can be deep.
@@ -124,9 +119,8 @@ object ReverseSearch {
       cfg: TraversalConfig,
       sink: Solution => Boolean,
       deadlineNanos: Long = Long.MaxValue,
-      rootRestrict: Option[RootRestrict] = None,
+      rootSeed: Int = -1,
   ): EnumStats = BigStack.run {
-    val t0 = System.nanoTime
     var solutions = 0L
     var links = 0L
     var easCalls = 0L
@@ -156,10 +150,11 @@ object ReverseSearch {
     }
 
     /** The (i)ThreeStep procedure from solution (l, r) under the current
-      * exclusion set. `seedFilter` restricts the seeds processed at this
-      * node (root-level task splitting); recursive calls are unrestricted.
+      * exclusion set. `onlySeed` ≥ 0 (the root of a `rootSeed` run) marks
+      * the seeds before it without processing them, processes it, and
+      * stops; recursive calls take every seed.
       */
-    def expand(l: Array[Int], r: Array[Int], seedFilter: Int => Boolean = _ => true): Boolean = {
+    def expand(l: Array[Int], r: Array[Int], onlySeed: Int = -1): Boolean = {
       if (r.length < thetaR) return true // solution pruning
       if (cfg.exclusion && g.nL - nMarked < thetaL) return true // left-side pruning
       val entryMarked = nMarked
@@ -219,11 +214,14 @@ object ReverseSearch {
         while (q < l.length && l(q) < v) q += 1
         q < l.length && l(q) == v
       }
-      while (ok && i < nSeeds) {
-        val v = if (twoHop) near.ids(i) else i
+      def seed(i: Int): Int = if (twoHop) near.ids(i) else i
+      while (ok && i < nSeeds && (onlySeed < 0 || seed(i) <= onlySeed)) {
+        val v = seed(i)
         i += 1
-        if (seedFilter(v) && !inL(v)) {
-          if (timeUp()) ok = false
+        if (!inL(v)) {
+          // Before onlySeed, the full run would have processed v and marked it.
+          if (v < onlySeed) { if (cfg.exclusion) mark(v) }
+          else if (timeUp()) ok = false
           else {
             // A seed already in the exclusion set forms no almost-satisfying
             // graph: every local solution contains v, so handleLocal would
@@ -272,17 +270,11 @@ object ReverseSearch {
       if (cfg.leftAnchored) Biplex.initialLeftAnchored(g, k)
       else Biplex.initialArbitrary(g, k)
     visited += h0
-    rootRestrict match {
-      case None =>
-        if (report(h0)) expand(h0.left, h0.right)
-      case Some(rr) =>
-        if (cfg.exclusion) rr.exclusion.foreach(mark)
-        expand(h0.left, h0.right, v => VertexSets.contains(rr.seeds, v))
-    }
+    if (rootSeed >= 0 || report(h0)) expand(h0.left, h0.right, rootSeed)
     // A deadline that fired inside EnumAlmostSat short-circuits without
     // passing through timeUp(); catch it here.
     if (System.nanoTime >= deadlineNanos) deadlineHit = true
-    EnumStats(solutions, links, easCalls, deadlineHit, (System.nanoTime - t0) / 1000000)
+    EnumStats(solutions, links, easCalls, deadlineHit)
   }
 
   /** Convenience: collect all solutions (tests / small graphs only). */

@@ -127,6 +127,36 @@ class TraversalSpec extends SparkSpec {
     }
   }
 
+  test("root-seed runs reproduce the full run's root split (k=1,2)") {
+    // Summed (links, easCalls, solutions) of the runs, one per root seed.
+    // Recorded when the root split passed each run its seed and the seeds
+    // before it as explicit arrays; the engine's own split must match them.
+    // Without the marks of the seeds before each run's seed, the sums are
+    // 4.6x (k=1) and 3.7x (k=2) larger, and the union of MBPs is the same.
+    val pinned = Map(1 -> (49358L, 29895L, 4986L), 2 -> (202540L, 37961L, 13493L))
+    for ((k, g, (got, _)) <- beyondBruteForce) {
+      val h0 = Biplex.initialLeftAnchored(g, k)
+      val union = scala.collection.mutable.HashSet(h0)
+      var sums = (0L, 0L, 0L)
+      for (v <- 0 until g.nL if !h0.left.contains(v)) {
+        val st = ReverseSearch.run(g, k, TraversalConfig.iTraversal, s => { union += s; true }, rootSeed = v)
+        sums = (sums._1 + st.links, sums._2 + st.easCalls, sums._3 + st.solutions)
+      }
+      assert(union == got, s"k=$k: MBPs differ")
+      assert(sums == pinned(k), s"k=$k")
+    }
+  }
+
+  test("a root seed inside H0's left side reports nothing") {
+    // Left vertex 0 sees every right vertex, so it is in H0's left side;
+    // the others miss more than k of them.
+    val g = BipartiteGraph.fromEdges(4, 4, (0 until 4).map(u => (0, u)) ++ Seq((1, 0), (2, 1), (3, 2), (3, 3)))
+    assert(Biplex.initialLeftAnchored(g, 1).left.contains(0))
+    var calls = 0
+    val st = ReverseSearch.run(g, 1, TraversalConfig.iTraversal, _ => { calls += 1; true }, rootSeed = 0)
+    assert(calls == 0 && st.solutions == 0 && st.easCalls == 0 && st.links == 0)
+  }
+
   test("link counts shrink monotonically across the technique stack") {
     var checked = 0
     for ((g, seed) <- TestGraphs.smallBatch(25, maxSide = 5, seed = 4300)) {

@@ -25,15 +25,6 @@ class DistITraversalSpec extends SparkSpec {
     assert(dist.nonEmpty)
   }
 
-  test("maxPerTask caps are respected and results stay valid MBPs") {
-    val g = repro.gen.BipartiteGen.er(30, 30, 150, seed = 12200)
-    val df = DistITraversal.enumerate(spark, g, 1, maxPerTask = 3)
-    val sols = df.collect().map(r => repro.core.Solution.of(r.getSeq[Int](0), r.getSeq[Int](1)))
-    sols.foreach { s =>
-      assert(repro.core.Biplex.isMaximalKBiplex(g, 1, s.left, s.right))
-    }
-  }
-
   test("an expired deadline returns promptly with valid MBPs only") {
     // Complete enumeration of this graph takes minutes; every task must
     // stop at the run's deadline.
