@@ -83,11 +83,4 @@ object IMB {
       VertexSets.empty, VertexSets.empty,
     )
   }
-
-  /** Collect all (small graphs / tests). */
-  def collectAll(g: BipartiteGraph, k: Int, thetaL: Int = 0, thetaR: Int = 0): Set[Solution] = {
-    val out = scala.collection.mutable.HashSet.empty[Solution]
-    enumerate(g, k, s => { out += s; true }, thetaL, thetaR)
-    out.toSet
-  }
 }

@@ -37,11 +37,4 @@ object InflationBaseline {
       deadlineNanos = deadlineNanos,
     )
   }
-
-  /** Collect all (small graphs / tests). */
-  def collectAll(g: BipartiteGraph, k: Int): Set[Solution] = {
-    val out = scala.collection.mutable.HashSet.empty[Solution]
-    enumerate(g, k, s => { out += s; true })
-    out.toSet
-  }
 }

@@ -1,7 +1,6 @@
 package repro.baselines
 
 import repro.graph.{GeneralGraph, VertexSets}
-import scala.collection.mutable
 
 /** Maximal k-plex enumeration on a general graph.
   *
@@ -94,19 +93,5 @@ object KPlexEnum {
     if (!ok) return true // required set itself is not a k-plex: empty output
     val others = VertexSets.diff(Array.range(0, g.n), p)
     rec(others.filter(feasible), VertexSets.empty)
-  }
-
-  /** Reference brute force for tests: all maximal k-plexes via subset scan. */
-  def bruteForce(g: GeneralGraph, k: Int): Set[Vector[Int]] = {
-    require(g.n <= 16, s"brute force on n=${g.n} too large")
-    def isPlex(s: Array[Int]): Boolean =
-      s.forall(v => s.length - 1 - g.degIn(v, s) <= k - 1)
-    val all = (0 until (1 << g.n))
-      .map(m => (0 until g.n).filter(i => (m & (1 << i)) != 0).toArray)
-      .filter(s => s.nonEmpty && isPlex(s))
-    all
-      .filter(s => !all.exists(t => t.length > s.length && VertexSets.subsetOf(s, t)))
-      .map(_.toVector)
-      .toSet
   }
 }

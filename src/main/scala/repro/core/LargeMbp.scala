@@ -25,7 +25,6 @@ object LargeMbp {
       thetaL: Int,
       thetaR: Int,
       sink: Solution => Boolean,
-      eas: EnumAlmostSat.Variant = EnumAlmostSat.L20R20,
       deadlineNanos: Long = Long.MaxValue,
   ): EnumStats = {
     require(thetaL >= 1 && thetaR >= 1, s"thetas must be positive, got ($thetaL,$thetaR)")
@@ -35,19 +34,11 @@ object LargeMbp {
     val (sub, backL, backR) = g.inducedSubgraph(coreL, coreR)
     // Two-hop seeding is lossless whenever the right-side threshold
     // exceeds k (every large MBP then has |R| > k).
-    val cfg = TraversalConfig.iTraversal.copy(
-      eas = eas, theta = Some((thetaL, thetaR)), twoHopSeeds = thetaR > k)
+    val cfg = TraversalConfig.iTraversal.copy(theta = Some((thetaL, thetaR)), twoHopSeeds = thetaR > k)
     ReverseSearch.run(
       sub, k, cfg,
       s => sink(Solution(s.left.map(backL), s.right.map(backR))),
       deadlineNanos,
     )
-  }
-
-  /** Collect all large MBPs (small graphs / tests). */
-  def collectAll(g: BipartiteGraph, k: Int, thetaL: Int, thetaR: Int): Set[Solution] = {
-    val out = scala.collection.mutable.HashSet.empty[Solution]
-    enumerate(g, k, thetaL, thetaR, s => { out += s; true })
-    out.toSet
   }
 }

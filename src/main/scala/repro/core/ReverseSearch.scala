@@ -101,8 +101,9 @@ object ReverseSearch {
   /** Enumerate maximal k-biplexes of g.
     *
     * `sink` receives each solution exactly once (pre-order); returning
-    * false aborts the run ("first N MBPs"). `deadlineNanos` (absolute,
-    * System.nanoTime scale) aborts long runs — the paper's INF budget.
+    * false ends the run ("first N MBPs") without setting `aborted`.
+    * `deadlineNanos` (absolute, System.nanoTime scale) aborts long runs —
+    * the paper's INF budget.
     *
     * `rootSeed` ≥ 0 runs only the root subtree of that left seed — the
     * distributed runner's unit of work. The root marks the seeds before it,
@@ -124,7 +125,7 @@ object ReverseSearch {
     var solutions = 0L
     var links = 0L
     var easCalls = 0L
-    var deadlineHit = false
+    var sinkStopped = false
     val (thetaL, thetaR) = cfg.theta.getOrElse((0, 0))
     val visited = new mutable.HashSet[Solution]
     // The exclusion set (Algorithm 2) of the node being expanded: a mark per
@@ -137,16 +138,16 @@ object ReverseSearch {
     def mark(v: Int): Unit =
       if (!excluded(v)) { excluded(v) = true; marked(nMarked) = v; nMarked += 1 }
 
-    def timeUp(): Boolean = {
-      val up = System.nanoTime >= deadlineNanos
-      if (up) deadlineHit = true
-      up
-    }
+    def timeUp(): Boolean = System.nanoTime >= deadlineNanos
 
-    /** Report a newly found solution; false aborts the whole run. */
+    /** Report a newly found solution; false (the sink's) ends the whole run. */
     def report(s: Solution): Boolean = {
       if (s.left.length < thetaL || s.right.length < thetaR) true
-      else { solutions += 1; sink(s) }
+      else {
+        solutions += 1
+        sinkStopped = !sink(s)
+        !sinkStopped
+      }
     }
 
     /** The (i)ThreeStep procedure from solution (l, r) under the current
@@ -270,18 +271,10 @@ object ReverseSearch {
       if (cfg.leftAnchored) Biplex.initialLeftAnchored(g, k)
       else Biplex.initialArbitrary(g, k)
     visited += h0
-    if (rootSeed >= 0 || report(h0)) expand(h0.left, h0.right, rootSeed)
-    // A deadline that fired inside EnumAlmostSat short-circuits without
-    // passing through timeUp(); catch it here.
-    if (System.nanoTime >= deadlineNanos) deadlineHit = true
-    EnumStats(solutions, links, easCalls, deadlineHit)
-  }
-
-  /** Convenience: collect all solutions (tests / small graphs only). */
-  def collectAll(g: BipartiteGraph, k: Int, cfg: TraversalConfig): (Set[Solution], EnumStats) = {
-    val out = mutable.HashSet.empty[Solution]
-    val stats = run(g, k, cfg, s => { out += s; true })
-    (out.toSet, stats)
+    val finished = (rootSeed >= 0 || report(h0)) && expand(h0.left, h0.right, rootSeed)
+    // A run stops early only when the sink or the deadline says so, and the
+    // sink's stop is not an abort.
+    EnumStats(solutions, links, easCalls, aborted = !finished && !sinkStopped)
   }
 
   /** Convenience: collect the first n solutions. */

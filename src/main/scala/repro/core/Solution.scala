@@ -36,8 +36,6 @@ final case class Solution(left: Array[Int], right: Array[Int]) {
 }
 
 object Solution {
-  val empty: Solution = Solution(VertexSets.empty, VertexSets.empty)
-
   def of(left: Iterable[Int], right: Iterable[Int]): Solution =
     Solution(VertexSets.canonical(left), VertexSets.canonical(right))
 }

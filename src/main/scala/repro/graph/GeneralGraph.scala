@@ -1,7 +1,5 @@
 package repro.graph
 
-import scala.collection.mutable
-
 /** Immutable general (non-bipartite) graph with sorted adjacency arrays.
   *
   * Used by the inflation baselines: a bipartite graph is inflated into a
@@ -13,29 +11,8 @@ final class GeneralGraph(val n: Int, val adj: Array[Array[Int]]) extends Seriali
   /** Number of (undirected) edges. */
   val numEdges: Long = adj.iterator.map(_.length.toLong).sum / 2
 
-  /** Degree of vertex v. */
-  def deg(v: Int): Int = adj(v).length
-
   /** Edge test via binary search. */
   def hasEdge(v: Int, u: Int): Boolean = VertexSets.contains(adj(v), u)
 
-  /** Number of neighbours of v inside sorted set s. */
-  def degIn(v: Int, s: Array[Int]): Int = VertexSets.intersectCount(adj(v), s)
-
   override def toString: String = s"GeneralGraph(n=$n, m=$numEdges)"
-}
-
-object GeneralGraph {
-
-  /** Build from an undirected edge list (self-loops rejected, dups dropped). */
-  def fromEdges(n: Int, edges: Iterable[(Int, Int)]): GeneralGraph = {
-    val buf = Array.fill(n)(new mutable.ArrayBuffer[Int]())
-    edges.foreach { case (a, b) =>
-      require(a != b, s"self-loop $a")
-      require(a >= 0 && a < n && b >= 0 && b < n, s"edge ($a,$b) out of [0,$n)")
-      buf(a) += b
-      buf(b) += a
-    }
-    new GeneralGraph(n, buf.map(b => VertexSets.canonical(b)))
-  }
 }

@@ -1,6 +1,6 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.graph.{BipartiteGraph, VertexSets}
 import scala.collection.mutable
@@ -13,7 +13,7 @@ import scala.collection.mutable
   * the *same* engine ([[ReverseSearch]]) with `rootSeed` set to its id; the
   * engine derives the seed's exclusion set from the root's seed order.
   * Subtrees can overlap (tasks keep only a local visited set), so
-  * solutions are deduplicated globally with a DataFrame `distinct` —
+  * solutions are deduplicated globally with an RDD `distinct` —
   * correctness is preserved because reachability, not the visited set,
   * defines the solution set.
   *
@@ -23,20 +23,18 @@ import scala.collection.mutable
   */
 object DistITraversal {
 
-  /** Enumerate all MBPs distributedly; returns a DataFrame with columns
-    * (left: array<int>, right: array<int>), globally deduplicated.
+  /** Enumerate all MBPs distributedly and collect them on the driver.
     *
     * `deadlineNanos` is the run's absolute deadline (System.nanoTime
     * scale, as for [[ReverseSearch.run]]); every task stops its traversal
     * at it, so a run past its deadline returns only the MBPs found so far.
     */
-  def enumerate(
+  def collectSolutions(
       spark: SparkSession,
       g: BipartiteGraph,
       k: Int,
       deadlineNanos: Long = Long.MaxValue,
-  ): DataFrame = {
-    import spark.implicits._
+  ): Set[Solution] = {
     // nanoTime has no common origin across JVMs: tasks get the deadline as
     // wall-clock time and turn it back into their own nanoTime.
     val deadlineMillis =
@@ -50,10 +48,10 @@ object DistITraversal {
     val found = spark.sparkContext
       .parallelize(seeds, slices)
       .flatMap { v =>
-        val out = mutable.ArrayBuffer.empty[(Seq[Int], Seq[Int])]
+        val out = mutable.ArrayBuffer.empty[Solution]
         ReverseSearch.run(
           bcG.value, k, TraversalConfig.iTraversal,
-          sink = { s => out += ((s.left.toSeq, s.right.toSeq)); true },
+          sink = { s => out += s; true },
           deadlineNanos =
             if (deadlineMillis == Long.MaxValue) Long.MaxValue
             else System.nanoTime + (deadlineMillis - System.currentTimeMillis) * 1000000,
@@ -61,22 +59,6 @@ object DistITraversal {
         )
         out
       }
-    val df = found.toDF("left", "right")
-    val root = Seq((h0.left.toSeq, h0.right.toSeq)).toDF("left", "right")
-    df.union(root).distinct()
+    found.distinct().collect().toSet + h0
   }
-
-  /** Collect the distributed result as a solution set. */
-  def collectSolutions(
-      spark: SparkSession,
-      g: BipartiteGraph,
-      k: Int,
-      deadlineNanos: Long = Long.MaxValue,
-  ): Set[Solution] =
-    enumerate(spark, g, k, deadlineNanos = deadlineNanos)
-      .collect()
-      .map { r =>
-        Solution.of(r.getSeq[Int](0), r.getSeq[Int](1))
-      }
-      .toSet
 }

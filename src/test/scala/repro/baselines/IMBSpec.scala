@@ -1,6 +1,7 @@
 package repro.baselines
 
 import repro.{SparkSpec, TestGraphs}
+import repro.Sinks.collect
 import repro.core.{Biplex, BruteForce}
 
 class IMBSpec extends SparkSpec {
@@ -8,7 +9,7 @@ class IMBSpec extends SparkSpec {
   for (k <- 0 to 3) {
     test(s"matches brute force (k=$k)") {
       for ((g, seed) <- TestGraphs.smallBatch(35, maxSide = 5, seed = 8000 + k)) {
-        assert(IMB.collectAll(g, k) == BruteForce.maximalKBiplexes(g, k), s"seed $seed")
+        assert(collect(IMB.enumerate(g, k, _))._1 == BruteForce.maximalKBiplexes(g, k), s"seed $seed")
       }
     }
   }
@@ -18,14 +19,14 @@ class IMBSpec extends SparkSpec {
       for ((g, seed) <- TestGraphs.smallBatch(15, maxSide = 5, seed = 8100 + thetaL * 10 + thetaR)) {
         val exp = BruteForce.maximalKBiplexes(g, 1)
           .filter(s => s.left.length >= thetaL && s.right.length >= thetaR)
-        assert(IMB.collectAll(g, 1, thetaL, thetaR) == exp, s"seed $seed")
+        assert(collect(IMB.enumerate(g, 1, _, thetaL, thetaR))._1 == exp, s"seed $seed")
       }
     }
   }
 
   test("k=0 enumerates maximal bicliques") {
     for ((g, seed) <- TestGraphs.smallBatch(20, maxSide = 6, seed = 8200)) {
-      val got = IMB.collectAll(g, 0)
+      val got = collect(IMB.enumerate(g, 0, _))._1
       got.foreach { s =>
         // Complete between the sides...
         for (v <- s.left; u <- s.right) assert(g.hasEdge(v, u), s"seed $seed: not a biclique")

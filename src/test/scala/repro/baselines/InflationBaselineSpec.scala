@@ -1,6 +1,7 @@
 package repro.baselines
 
 import repro.{SparkSpec, TestGraphs}
+import repro.Sinks.collect
 import repro.core.BruteForce
 
 class InflationBaselineSpec extends SparkSpec {
@@ -8,7 +9,7 @@ class InflationBaselineSpec extends SparkSpec {
   for (k <- 1 to 3) {
     test(s"inflation + (k+1)-plex enumeration equals brute force (k=$k)") {
       for ((g, seed) <- TestGraphs.smallBatch(35, maxSide = 5, seed = 9000 + k)) {
-        assert(InflationBaseline.collectAll(g, k) == BruteForce.maximalKBiplexes(g, k),
+        assert(collect(InflationBaseline.enumerate(g, k, _))._1 == BruteForce.maximalKBiplexes(g, k),
           s"seed $seed")
       }
     }
@@ -17,7 +18,7 @@ class InflationBaselineSpec extends SparkSpec {
   test("biplex <-> plex correspondence on asymmetric graphs") {
     for (k <- 1 to 2) {
       val g = TestGraphs.random(2, 8, 0.5, 9100 + k)
-      assert(InflationBaseline.collectAll(g, k) == BruteForce.maximalKBiplexes(g, k))
+      assert(collect(InflationBaseline.enumerate(g, k, _))._1 == BruteForce.maximalKBiplexes(g, k))
     }
   }
 

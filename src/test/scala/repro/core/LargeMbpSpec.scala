@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
+import repro.Sinks.collect
 
 class LargeMbpSpec extends SparkSpec {
 
@@ -8,7 +9,7 @@ class LargeMbpSpec extends SparkSpec {
     test(s"LargeMbp equals filtered brute force (k=$k, theta=$theta)") {
       for ((g, seed) <- TestGraphs.smallBatch(35, maxSide = 6, seed = 6000 + k * 10 + theta)) {
         val exp = BruteForce.largeMaximalKBiplexes(g, k, theta)
-        val got = LargeMbp.collectAll(g, k, theta, theta)
+        val got = collect(LargeMbp.enumerate(g, k, theta, theta, _))._1
         assert(got == exp,
           s"seed $seed k=$k theta=$theta:\n missing ${(exp -- got).take(5)}\n extra ${(got -- exp).take(5)}")
       }
@@ -19,7 +20,7 @@ class LargeMbpSpec extends SparkSpec {
     for ((g, seed) <- TestGraphs.smallBatch(25, maxSide = 6, seed = 6100)) {
       val exp = BruteForce.maximalKBiplexes(g, 1)
         .filter(s => s.left.length >= 1 && s.right.length >= 3)
-      val got = LargeMbp.collectAll(g, 1, 1, 3)
+      val got = collect(LargeMbp.enumerate(g, 1, 1, 3, _))._1
       assert(got == exp, s"seed $seed")
     }
   }
@@ -36,10 +37,10 @@ class LargeMbpSpec extends SparkSpec {
     // Thousands of MBPs: the exclusion seed skip runs together with core
     // reduction, two-hop seeding and the θ prunings.
     val g = repro.gen.BipartiteGen.er(20, 20, 100, seed = 1)
-    val (all, _) = ReverseSearch.collectAll(g, 1, TraversalConfig.iTraversal)
+    val (all, _) = collect(ReverseSearch.run(g, 1, TraversalConfig.iTraversal, _))
     val exp = all.filter(s => s.left.length >= 3 && s.right.length >= 4)
     assert(all.size >= 1000 && exp.size >= 100, s"${all.size} MBPs, ${exp.size} large")
-    assert(LargeMbp.collectAll(g, 1, 3, 4) == exp)
+    assert(collect(LargeMbp.enumerate(g, 1, 3, 4, _))._1 == exp)
   }
 
   test("LargeMbp's links, EnumAlmostSat calls and solutions are pinned") {
@@ -57,14 +58,14 @@ class LargeMbpSpec extends SparkSpec {
 
   test("no large MBPs when theta exceeds the graph") {
     val g = TestGraphs.random(3, 3, 0.5, 778)
-    assert(LargeMbp.collectAll(g, 1, 5, 5).isEmpty)
+    assert(collect(LargeMbp.enumerate(g, 1, 5, 5, _))._1.isEmpty)
   }
 
   test("theta = 1 equals unconstrained enumeration") {
     for ((g, seed) <- TestGraphs.smallBatch(15, maxSide = 5, seed = 6200)) {
       val exp = BruteForce.maximalKBiplexes(g, 1)
         .filter(s => s.left.nonEmpty && s.right.nonEmpty)
-      val got = LargeMbp.collectAll(g, 1, 1, 1)
+      val got = collect(LargeMbp.enumerate(g, 1, 1, 1, _))._1
       assert(got == exp, s"seed $seed")
     }
   }

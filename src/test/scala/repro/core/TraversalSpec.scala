@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
+import repro.Sinks.collect
 import repro.baselines.IMB
 import repro.gen.BipartiteGen
 import repro.graph.BipartiteGraph
@@ -28,7 +29,7 @@ class TraversalSpec extends SparkSpec {
     test(s"$name equals brute force (k=$k)") {
       for ((g, seed) <- TestGraphs.smallBatch(40, maxSide = 5, seed = 4000 + k)) {
         val exp = BruteForce.maximalKBiplexes(g, k)
-        val (got, _) = ReverseSearch.collectAll(g, k, mkCfg(k))
+        val (got, _) = collect(ReverseSearch.run(g, k, mkCfg(k), _))
         assert(got == exp,
           s"seed $seed k=$k nL=${g.nL} nR=${g.nR}:\n missing ${(exp -- got).take(5)}\n extra ${(got -- exp).take(5)}")
       }
@@ -38,7 +39,7 @@ class TraversalSpec extends SparkSpec {
   test("iTraversal handles k=0 (maximal biclique enumeration)") {
     for ((g, seed) <- TestGraphs.smallBatch(30, maxSide = 5, seed = 4100)) {
       val exp = BruteForce.maximalKBiplexes(g, 0)
-      val (got, _) = ReverseSearch.collectAll(g, 0, TraversalConfig.iTraversal)
+      val (got, _) = collect(ReverseSearch.run(g, 0, TraversalConfig.iTraversal, _))
       assert(got == exp, s"seed $seed")
     }
   }
@@ -46,7 +47,7 @@ class TraversalSpec extends SparkSpec {
   test("denser random graphs (k=1,2)") {
     for (k <- 1 to 2; (g, seed) <- TestGraphs.smallBatch(15, maxSide = 7, seed = 4200 + k)) {
       val exp = BruteForce.maximalKBiplexes(g, k)
-      val (got, _) = ReverseSearch.collectAll(g, k, TraversalConfig.iTraversal)
+      val (got, _) = collect(ReverseSearch.run(g, k, TraversalConfig.iTraversal, _))
       assert(got == exp, s"seed $seed k=$k")
     }
   }
@@ -56,9 +57,9 @@ class TraversalSpec extends SparkSpec {
       val wide = TestGraphs.random(2, 9, 0.4, 4321)
       val tall = TestGraphs.random(9, 2, 0.4, 4322)
       for (g <- Seq(wide, tall)) {
-        assert(ReverseSearch.collectAll(g, k, TraversalConfig.iTraversal)._1 ==
+        assert(collect(ReverseSearch.run(g, k, TraversalConfig.iTraversal, _))._1 ==
           BruteForce.maximalKBiplexes(g, k))
-        assert(ReverseSearch.collectAll(g, k, TraversalConfig.bTraversal)._1 ==
+        assert(collect(ReverseSearch.run(g, k, TraversalConfig.bTraversal, _))._1 ==
           BruteForce.maximalKBiplexes(g, k))
       }
     }
@@ -70,8 +71,8 @@ class TraversalSpec extends SparkSpec {
                     TestGraphs.empty(1, 4), TestGraphs.complete(4, 1),
                     BipartiteGraph.fromEdges(1, 1, Seq((0, 0))))) {
         val exp = BruteForce.maximalKBiplexes(g, k)
-        assert(ReverseSearch.collectAll(g, k, TraversalConfig.iTraversal)._1 == exp, s"k=$k $g")
-        assert(ReverseSearch.collectAll(g, k, TraversalConfig.bTraversal)._1 == exp, s"k=$k $g")
+        assert(collect(ReverseSearch.run(g, k, TraversalConfig.iTraversal, _))._1 == exp, s"k=$k $g")
+        assert(collect(ReverseSearch.run(g, k, TraversalConfig.bTraversal, _))._1 == exp, s"k=$k $g")
       }
     }
   }
@@ -81,7 +82,7 @@ class TraversalSpec extends SparkSpec {
     */
   private lazy val beyondBruteForce: Seq[(Int, BipartiteGraph, (Set[Solution], EnumStats))] =
     Seq(1 -> BipartiteGen.er(20, 20, 100, seed = 1), 2 -> BipartiteGen.er(10, 16, 60, seed = 1))
-      .map { case (k, g) => (k, g, ReverseSearch.collectAll(g, k, TraversalConfig.iTraversal)) }
+      .map { case (k, g) => (k, g, collect(ReverseSearch.run(g, k, TraversalConfig.iTraversal, _))) }
 
   test("beyond brute-force size: the side swap and iMB agree with iTraversal (k=1,2)") {
     // The left-anchored traversal of the flipped graph starts from another
@@ -89,9 +90,9 @@ class TraversalSpec extends SparkSpec {
     // different paths.
     for ((k, g, (got, _)) <- beyondBruteForce) {
       assert(got.size >= 1000, s"k=$k: only ${got.size} MBPs")
-      val (swapped, _) = ReverseSearch.collectAll(g.flipped, k, TraversalConfig.iTraversal)
+      val (swapped, _) = collect(ReverseSearch.run(g.flipped, k, TraversalConfig.iTraversal, _))
       assert(swapped.map(_.flip) == got, s"k=$k: MBPs of the flipped graph differ")
-      assert(IMB.collectAll(g, k) == got, s"k=$k: iMB differs")
+      assert(collect(IMB.enumerate(g, k, _))._1 == got, s"k=$k: iMB differs")
     }
   }
 
@@ -109,7 +110,7 @@ class TraversalSpec extends SparkSpec {
       val permR = rnd.shuffle((0 until g.nR).toVector).toArray
       val (invL, invR) = (inverse(permL), inverse(permR))
       val relabelled = BipartiteGraph.fromEdges(g.nL, g.nR, g.edges.map { case (v, u) => (permL(v), permR(u)) }.toSeq)
-      val (back, relStats) = ReverseSearch.collectAll(relabelled, k, TraversalConfig.iTraversal)
+      val (back, relStats) = collect(ReverseSearch.run(relabelled, k, TraversalConfig.iTraversal, _))
       assert(relStats.links != stats.links, s"k=$k: the permutation left the traversal's links unchanged")
       assert(back.map(s => Solution.of(s.left.map(invL), s.right.map(invR))) == got, s"k=$k: MBPs differ")
     }
@@ -160,10 +161,10 @@ class TraversalSpec extends SparkSpec {
   test("link counts shrink monotonically across the technique stack") {
     var checked = 0
     for ((g, seed) <- TestGraphs.smallBatch(25, maxSide = 5, seed = 4300)) {
-      val b = ReverseSearch.collectAll(g, 1, TraversalConfig.bTraversal.copy(eas = EnumAlmostSat.L20R20))._2
-      val la = ReverseSearch.collectAll(g, 1, TraversalConfig.iTraversalNoESNoRS)._2
-      val rs = ReverseSearch.collectAll(g, 1, TraversalConfig.iTraversalNoES)._2
-      val full = ReverseSearch.collectAll(g, 1, TraversalConfig.iTraversal)._2
+      val b = collect(ReverseSearch.run(g, 1, TraversalConfig.bTraversal.copy(eas = EnumAlmostSat.L20R20), _))._2
+      val la = collect(ReverseSearch.run(g, 1, TraversalConfig.iTraversalNoESNoRS, _))._2
+      val rs = collect(ReverseSearch.run(g, 1, TraversalConfig.iTraversalNoES, _))._2
+      val full = collect(ReverseSearch.run(g, 1, TraversalConfig.iTraversal, _))._2
       assert(la.links <= b.links, s"seed $seed: left-anchored should not add links")
       assert(rs.links <= la.links, s"seed $seed: right-shrinking should not add links")
       assert(full.links <= rs.links, s"seed $seed: exclusion should not add links")
@@ -174,7 +175,7 @@ class TraversalSpec extends SparkSpec {
 
   test("first-N early termination returns exactly N solutions and they are valid") {
     val g = TestGraphs.random(8, 8, 0.45, 909)
-    val all = ReverseSearch.collectAll(g, 1, TraversalConfig.iTraversal)._1
+    val all = collect(ReverseSearch.run(g, 1, TraversalConfig.iTraversal, _))._1
     val n = math.min(3, all.size)
     val (first, _) = ReverseSearch.collectFirst(g, 1, TraversalConfig.iTraversal, n)
     assert(first.size == n)
@@ -192,7 +193,7 @@ class TraversalSpec extends SparkSpec {
     test(s"twoHopSeeds mode: valid MBPs only, covers every MBP with |R| > k (k=$k)") {
       val cfg = TraversalConfig.iTraversal.copy(twoHopSeeds = true)
       for ((g, seed) <- TestGraphs.smallBatch(40, maxSide = 6, seed = 4500 + k)) {
-        val (got, _) = ReverseSearch.collectAll(g, k, cfg)
+        val (got, _) = collect(ReverseSearch.run(g, k, cfg, _))
         got.foreach(s => assert(Biplex.isMaximalKBiplex(g, k, s.left, s.right), s"seed $seed"))
         val mustHave = BruteForce.maximalKBiplexes(g, k).filter(_.right.length > k)
         assert(mustHave.subsetOf(got),
@@ -265,6 +266,16 @@ class TraversalSpec extends SparkSpec {
       val stats = ReverseSearch.run(g, 1, cfg, _ => { calls += 1; calls < 5 })
       assert(calls == 5, cfg)
       assert(stats.solutions == 5 && !stats.aborted, cfg)
+    }
+  }
+
+  test("a sink that stops the run after the deadline has passed does not set aborted") {
+    val g = BipartiteGen.er(20, 20, 100, seed = 1)
+    for (cfg <- Seq(TraversalConfig.iTraversal, TraversalConfig.bTraversal)) {
+      val stats = ReverseSearch.run(g, 1, cfg, _ => { Thread.sleep(300); false },
+        deadlineNanos = System.nanoTime + 100L * 1000000)
+      assert(stats.solutions == 1, cfg)
+      assert(!stats.aborted, cfg)
     }
   }
 

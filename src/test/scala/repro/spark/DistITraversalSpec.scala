@@ -1,6 +1,7 @@
 package repro.spark
 
 import repro.{SparkSpec, TestGraphs}
+import repro.Sinks.collect
 import repro.core.{BruteForce, ReverseSearch, TraversalConfig}
 
 class DistITraversalSpec extends SparkSpec {
@@ -9,7 +10,7 @@ class DistITraversalSpec extends SparkSpec {
     test(s"distributed solution set equals local iTraversal and brute force (k=$k)") {
       for ((g, seed) <- TestGraphs.smallBatch(6, maxSide = 5, seed = 12000 + k)) {
         val dist = DistITraversal.collectSolutions(spark, g, k)
-        val (local, _) = ReverseSearch.collectAll(g, k, TraversalConfig.iTraversal)
+        val (local, _) = collect(ReverseSearch.run(g, k, TraversalConfig.iTraversal, _))
         val brute = BruteForce.maximalKBiplexes(g, k)
         assert(dist == brute, s"seed $seed: distributed != brute force")
         assert(local == brute, s"seed $seed: local != brute force")
@@ -20,7 +21,7 @@ class DistITraversalSpec extends SparkSpec {
   test("distributed run on a mid-size ER graph matches local") {
     val g = repro.gen.BipartiteGen.er(40, 40, 200, seed = 12100)
     val dist = DistITraversal.collectSolutions(spark, g, 1)
-    val (local, _) = ReverseSearch.collectAll(g, 1, TraversalConfig.iTraversal)
+    val (local, _) = collect(ReverseSearch.run(g, 1, TraversalConfig.iTraversal, _))
     assert(dist == local)
     assert(dist.nonEmpty)
   }
