@@ -74,7 +74,9 @@ object EnumAlmostSat {
   /** Enumerate local solutions of the almost-satisfying graph (L∪{v}, R).
     *
     * `emit(lWithV, rPrime)` receives each local solution (v included in the
-    * left array, both arrays sorted); returning false aborts. Returns false
+    * left array, both arrays sorted); returning false aborts. Local
+    * solutions can share their right array, so `emit` must not write to
+    * the arrays it receives; it may keep them. Returns false
     * iff aborted. `minRight`, when set, skips candidates whose right side is
     * smaller than the threshold (local-solution pruning for large MBPs,
     * Section 5). `ctx`, when provided, must be `buildCtx(g, l, r)` — the
@@ -235,6 +237,9 @@ object EnumAlmostSat {
         a += 1
       }
       val successes = mutable.ArrayBuffer.empty[Array[Int]]
+      // R' = R_keep ∪ R'', the right side every local solution of this R''
+      // shares.
+      val rPrime = VertexSets.union(rKeep, rpp)
       val maxRemove = math.min(r2pp.length, lRemo.length)
       var s = 0
       while (s <= maxRemove) {
@@ -244,8 +249,7 @@ object EnumAlmostSat {
           val skip = pruneL && successes.exists(ok => VertexSets.subsetOf(ok, lBar))
           if (!skip && isLocal(rpp, lBar)) {
             successes += lBar
-            val lFull = VertexSets.add(VertexSets.diff(l, lBar), v)
-            if (!emit(lFull, VertexSets.union(rKeep, rpp))) return false
+            if (!emit(localLeft(l, lBar, v), rPrime)) return false
           }
         }
         s += 1
@@ -300,6 +304,27 @@ object EnumAlmostSat {
       },
       deadlineNanos = deadlineNanos,
     )
+  }
+
+  /** L' = (L \ L̄) ∪ {v} in one merge pass, for L̄ ⊆ L and v ∉ L. */
+  private def localLeft(l: Array[Int], lBar: Array[Int], v: Int): Array[Int] = {
+    val out = new Array[Int](l.length - lBar.length + 1)
+    var o = 0
+    var j = 0 // next member of lBar
+    var vOut = false
+    var i = 0
+    while (i < l.length) {
+      val w = l(i)
+      if (j < lBar.length && lBar(j) == w) j += 1
+      else {
+        if (!vOut && v < w) { out(o) = v; o += 1; vOut = true }
+        out(o) = w
+        o += 1
+      }
+      i += 1
+    }
+    if (!vOut) out(o) = v
+    out
   }
 
   /** Lexicographic size-`s` combinations of a sorted array. */

@@ -63,12 +63,21 @@ object Technique {
   *                      skipped — this is the scalability mode used by the
   *                      large-graph benchmarks, mirroring how the paper's
   *                      implementation reaches billion-edge graphs.
+  * @param degreeOrder   walk the left side in ascending (degree, id) order
+  *                      instead of the given id order. The run relabels
+  *                      the left side once at its entry and maps every
+  *                      solution back, so seeds, exclusion marks,
+  *                      extensions and H0 follow that order (see
+  *                      [[ReverseSearch.run]]). On complete enumeration
+  *                      the exclusion strategy then prunes far more links
+  *                      (DESIGN §3); the solution set is the same.
   */
 final case class TraversalConfig(
     technique: Technique,
     eas: EnumAlmostSat.Variant = EnumAlmostSat.L20R20,
     theta: Option[(Int, Int)] = None,
     twoHopSeeds: Boolean = false,
+    degreeOrder: Boolean = false,
 ) {
   require(theta.isEmpty || rightShrinking, "size-constrained mode requires right-shrinking traversal")
 
@@ -82,8 +91,10 @@ object TraversalConfig {
   val bTraversal: TraversalConfig =
     TraversalConfig(Technique.Basic, eas = EnumAlmostSat.Inflated)
 
-  /** Algorithm 2, all three techniques (paper's iTraversal). */
-  val iTraversal: TraversalConfig = TraversalConfig(Technique.Exclusion)
+  /** Algorithm 2, all three techniques (paper's iTraversal), walking the
+    * left side in ascending degree order.
+    */
+  val iTraversal: TraversalConfig = TraversalConfig(Technique.Exclusion, degreeOrder = true)
 
   /** iTraversal without the exclusion strategy. */
   val iTraversalNoES: TraversalConfig = iTraversal.copy(technique = Technique.RightShrinking)
@@ -106,10 +117,15 @@ object ReverseSearch {
     * the paper's INF budget.
     *
     * `rootSeed` ≥ 0 runs only the root subtree of that left seed — the
-    * distributed runner's unit of work. The root marks the seeds before it,
-    * so its subtree starts from the exclusion set the full run has there,
-    * and does not report H0. A `rootSeed` inside H0's left side reports
-    * nothing.
+    * distributed runner's unit of work. The root marks the seeds before it
+    * in the run's order, so its subtree starts from the exclusion set the
+    * full run has there, and does not report H0. A `rootSeed` inside the
+    * left side of H0 (see [[initial]]) reports nothing.
+    *
+    * With `cfg.degreeOrder` the DFS runs on g with its left side relabelled
+    * by [[BipartiteGraph.leftByDegree]]; `rootSeed` is mapped into the new
+    * ids and every solution is mapped back before the sink. All ids a
+    * caller passes or receives are g's.
     *
     * The DFS runs in a dedicated 512 MB-stack thread because solution
     * graphs can be deep.
@@ -121,6 +137,52 @@ object ReverseSearch {
       sink: Solution => Boolean,
       deadlineNanos: Long = Long.MaxValue,
       rootSeed: Int = -1,
+  ): EnumStats = {
+    require(rootSeed < g.nL, s"rootSeed $rootSeed is not a left id of $g")
+    val order = new LeftOrder(g, cfg)
+    traverse(order.graph, k, cfg, s => sink(order.toGiven(s)), deadlineNanos, order.toRun(rootSeed))
+  }
+
+  /** The solution a run of cfg on g starts from (H0), in g's ids. Under
+    * `cfg.degreeOrder` it is built on the relabelled graph, so it can
+    * differ from H0 in the given order. A `rootSeed` run reports nothing
+    * for a seed inside its left side.
+    */
+  def initial(g: BipartiteGraph, k: Int, cfg: TraversalConfig): Solution = {
+    val order = new LeftOrder(g, cfg)
+    order.toGiven(start(order.graph, k, cfg))
+  }
+
+  private def start(g: BipartiteGraph, k: Int, cfg: TraversalConfig): Solution =
+    if (cfg.leftAnchored) Biplex.initialLeftAnchored(g, k)
+    else Biplex.initialArbitrary(g, k)
+
+  /** The graph a run of cfg on g traverses, and the maps between its left
+    * ids and g's. `back(i)` is g's id of the run's left vertex i; it is
+    * null when the run keeps g's order.
+    */
+  private final class LeftOrder(g: BipartiteGraph, cfg: TraversalConfig) {
+    private val back = if (cfg.degreeOrder) g.leftByDegree else null
+    val graph: BipartiteGraph = if (back == null) g else g.relabelLeft(back)
+
+    def toRun(v: Int): Int = if (back == null || v < 0) v else back.indexOf(v)
+
+    def toGiven(s: Solution): Solution =
+      if (back == null) s
+      else {
+        val l = s.left.map(back)
+        java.util.Arrays.sort(l)
+        Solution(l, s.right)
+      }
+  }
+
+  private def traverse(
+      g: BipartiteGraph,
+      k: Int,
+      cfg: TraversalConfig,
+      sink: Solution => Boolean,
+      deadlineNanos: Long,
+      rootSeed: Int,
   ): EnumStats = BigStack.run {
     var solutions = 0L
     var links = 0L
@@ -267,9 +329,7 @@ object ReverseSearch {
       ok
     }
 
-    val h0 =
-      if (cfg.leftAnchored) Biplex.initialLeftAnchored(g, k)
-      else Biplex.initialArbitrary(g, k)
+    val h0 = start(g, k, cfg)
     visited += h0
     val finished = (rootSeed >= 0 || report(h0)) && expand(h0.left, h0.right, rootSeed)
     // A run stops early only when the sink or the deadline says so, and the

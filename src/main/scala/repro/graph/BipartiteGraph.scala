@@ -36,6 +36,30 @@ final class BipartiteGraph(
   /** The graph with the two sides swapped (no copying of adjacency data). */
   def flipped: BipartiteGraph = new BipartiteGraph(nR, nL, adjR, adjL)
 
+  /** Left ids ascending by (degree, id): the sort is stable, so ties keep
+    * id order.
+    */
+  def leftByDegree: Array[Int] = Array.range(0, nL).sortBy(adjL(_).length)
+
+  /** The graph with left vertex `order(i)` renamed i, for a permutation
+    * `order` of the left ids. Left lists are shared; each right list is
+    * filled by appending new ids in ascending order, so it comes out sorted
+    * without a sort: O(n + m).
+    */
+  def relabelLeft(order: Array[Int]): BipartiteGraph = {
+    val newAdjL = order.map(adjL)
+    val newAdjR = adjR.map(a => new Array[Int](a.length))
+    val filled = new Array[Int](nR)
+    var i = 0
+    while (i < nL) {
+      val nb = newAdjL(i)
+      var j = 0
+      while (j < nb.length) { val u = nb(j); newAdjR(u)(filled(u)) = i; filled(u) += 1; j += 1 }
+      i += 1
+    }
+    new BipartiteGraph(nL, nR, newAdjL, newAdjR)
+  }
+
   /** All edges as (left, right) pairs, ascending. */
   def edges: Iterator[(Int, Int)] =
     (0 until nL).iterator.flatMap(v => adjL(v).iterator.map(u => (v, u)))

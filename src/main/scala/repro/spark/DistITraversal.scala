@@ -8,10 +8,12 @@ import scala.collection.mutable
 /** Distributed iTraversal: reverse-search DFS parallelised over the root
   * level of the solution graph.
   *
-  * The driver computes the initial solution H0 = (L0, R_all) and ships the
-  * left ids outside L0, one per task, with the broadcast graph. A task runs
-  * the *same* engine ([[ReverseSearch]]) with `rootSeed` set to its id; the
-  * engine derives the seed's exclusion set from the root's seed order.
+  * The driver computes the initial solution H0 = (L0, R_all) that the
+  * engine's run starts from ([[ReverseSearch.initial]]; it depends on the
+  * run's left order) and ships the left ids outside L0, one per task, with
+  * the broadcast graph. A task runs the *same* engine ([[ReverseSearch]])
+  * with `rootSeed` set to its id; the engine derives the seed's exclusion
+  * set from the root's seed order.
   * Subtrees can overlap (tasks keep only a local visited set), so
   * solutions are deduplicated globally with an RDD `distinct` —
   * correctness is preserved because reachability, not the visited set,
@@ -40,7 +42,8 @@ object DistITraversal {
     val deadlineMillis =
       if (deadlineNanos == Long.MaxValue) Long.MaxValue
       else System.currentTimeMillis + (deadlineNanos - System.nanoTime) / 1000000
-    val h0 = Biplex.initialLeftAnchored(g, k)
+    val cfg = TraversalConfig.iTraversal
+    val h0 = ReverseSearch.initial(g, k, cfg)
     val seeds = (0 until g.nL).filter(v => !VertexSets.contains(h0.left, v))
 
     val bcG = spark.sparkContext.broadcast(g)
@@ -50,7 +53,7 @@ object DistITraversal {
       .flatMap { v =>
         val out = mutable.ArrayBuffer.empty[Solution]
         ReverseSearch.run(
-          bcG.value, k, TraversalConfig.iTraversal,
+          bcG.value, k, cfg,
           sink = { s => out += s; true },
           deadlineNanos =
             if (deadlineMillis == Long.MaxValue) Long.MaxValue

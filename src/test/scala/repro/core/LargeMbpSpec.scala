@@ -56,6 +56,23 @@ class LargeMbpSpec extends SparkSpec {
     assert(counts(repro.gen.FraudGen.generate(seed = 1).graph, 4, 7, 1000) == ((2662L, 2257L, 1000L)))
   }
 
+  test("LargeMbp keeps the given left order, unlike the iTraversal preset") {
+    // The pins above hold the given order. On the same reduced graph,
+    // iTraversal's degree order takes 125 359 links to the first 1000.
+    val g = repro.gen.FraudGen.generate(seed = 1).graph
+    val (cl, cr) = CoreReduction.alphaBetaCore(g, 7 - 1, 4 - 1)
+    val (sub, _, _) = g.inducedSubgraph(cl, cr)
+    def first1000(st: (Solution => Boolean) => EnumStats) = {
+      var n = 0
+      val s = st(_ => { n += 1; n < 1000 })
+      (s.links, s.easCalls, s.solutions)
+    }
+    val cfg = TraversalConfig.iTraversal.copy(theta = Some((4, 7)), twoHopSeeds = true)
+    assert(first1000(LargeMbp.enumerate(g, 1, 4, 7, _)) == ((2662L, 2257L, 1000L)))
+    assert(first1000(ReverseSearch.run(sub, 1, cfg.copy(degreeOrder = false), _)) == ((2662L, 2257L, 1000L)))
+    assert(first1000(ReverseSearch.run(sub, 1, cfg, _)) == ((125359L, 53517L, 1000L)))
+  }
+
   test("no large MBPs when theta exceeds the graph") {
     val g = TestGraphs.random(3, 3, 0.5, 778)
     assert(collect(LargeMbp.enumerate(g, 1, 5, 5, _))._1.isEmpty)

@@ -15,12 +15,18 @@ import scala.util.Random
   */
 class TraversalSpec extends SparkSpec {
 
+  /** iTraversal in the graph's own left order. Pins recorded before the
+    * degree order keep their numbers under it.
+    */
+  private val givenOrder = TraversalConfig.iTraversal.copy(degreeOrder = false)
+
   private val configs: Seq[(String, Int => TraversalConfig)] = Seq(
     "bTraversal(Inflated)" -> (_ => TraversalConfig.bTraversal),
     "bTraversal(L20R20)"   -> (_ => TraversalConfig.bTraversal.copy(eas = EnumAlmostSat.L20R20)),
     "iTraversal-ES-RS"     -> (_ => TraversalConfig.iTraversalNoESNoRS),
     "iTraversal-ES"        -> (_ => TraversalConfig.iTraversalNoES),
     "iTraversal"           -> (_ => TraversalConfig.iTraversal),
+    "iTraversal(given order)" -> (_ => givenOrder),
     "iTraversal(L10R10)"   -> (_ => TraversalConfig.iTraversal.copy(eas = EnumAlmostSat.L10R10)),
     "iTraversal(Inflated)" -> (_ => TraversalConfig.iTraversal.copy(eas = EnumAlmostSat.Inflated)),
   )
@@ -33,6 +39,39 @@ class TraversalSpec extends SparkSpec {
         assert(got == exp,
           s"seed $seed k=$k nL=${g.nL} nR=${g.nR}:\n missing ${(exp -- got).take(5)}\n extra ${(got -- exp).take(5)}")
       }
+    }
+  }
+
+  test("degree-ordered iTraversal equals brute force and reports no MBP twice (k=1,2)") {
+    assert(TraversalConfig.iTraversal.degreeOrder)
+    for (k <- 1 to 2; (g, seed) <- TestGraphs.smallBatch(40, maxSide = 6, seed = 4600 + k)) {
+      val seen = scala.collection.mutable.ArrayBuffer.empty[Solution]
+      val stats = ReverseSearch.run(g, k, TraversalConfig.iTraversal, s => { seen += s; true })
+      assert(seen.size == seen.toSet.size, s"seed $seed k=$k: duplicates reported")
+      assert(stats.solutions == seen.size, s"seed $seed k=$k")
+      assert(seen.toSet == BruteForce.maximalKBiplexes(g, k), s"seed $seed k=$k")
+    }
+  }
+
+  test("H0 depends on the left order; the root-seed runs start from the run's own H0 (k=2)") {
+    // Right side {0, 1, 2}; left 0 and 1 see {1, 2}, left 2 sees {2}. The
+    // given order's L0 is {0, 1}; in degree order left 2 comes first and
+    // L0 is {0, 2}.
+    val g = BipartiteGraph.fromEdges(3, 3, Seq((0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
+    val exp = BruteForce.maximalKBiplexes(g, 2)
+    val h0 = ReverseSearch.initial(g, 2, TraversalConfig.iTraversal)
+    assert(h0 == Solution.of(Seq(0, 2), 0 to 2))
+    assert(ReverseSearch.initial(g, 2, givenOrder) == Solution.of(Seq(0, 1), 0 to 2))
+    assert(ReverseSearch.initial(g, 2, givenOrder) == Biplex.initialLeftAnchored(g, 2))
+
+    val full = scala.collection.mutable.ArrayBuffer.empty[Solution]
+    ReverseSearch.run(g, 2, TraversalConfig.iTraversal, s => { full += s; true })
+    val split = scala.collection.mutable.ArrayBuffer(h0)
+    for (v <- 0 until g.nL if !h0.left.contains(v))
+      ReverseSearch.run(g, 2, TraversalConfig.iTraversal, s => { split += s; true }, rootSeed = v)
+    for ((name, out) <- Seq("full run" -> full, "root-seed runs" -> split)) {
+      assert(out.toSet == exp, name)
+      assert(out.count(_ == h0) == 1, s"$name: H0 reported ${out.count(_ == h0)} times")
     }
   }
 
@@ -77,12 +116,12 @@ class TraversalSpec extends SparkSpec {
     }
   }
 
-  /** (k, graph, iTraversal's MBPs and stats) on graphs with thousands of
-    * MBPs, too large for BruteForce.
+  /** (k, graph, iTraversal's MBPs and stats in the given order) on graphs
+    * with thousands of MBPs, too large for BruteForce.
     */
   private lazy val beyondBruteForce: Seq[(Int, BipartiteGraph, (Set[Solution], EnumStats))] =
     Seq(1 -> BipartiteGen.er(20, 20, 100, seed = 1), 2 -> BipartiteGen.er(10, 16, 60, seed = 1))
-      .map { case (k, g) => (k, g, collect(ReverseSearch.run(g, k, TraversalConfig.iTraversal, _))) }
+      .map { case (k, g) => (k, g, collect(ReverseSearch.run(g, k, givenOrder, _))) }
 
   test("beyond brute-force size: the side swap and iMB agree with iTraversal (k=1,2)") {
     // The left-anchored traversal of the flipped graph starts from another
@@ -110,7 +149,7 @@ class TraversalSpec extends SparkSpec {
       val permR = rnd.shuffle((0 until g.nR).toVector).toArray
       val (invL, invR) = (inverse(permL), inverse(permR))
       val relabelled = BipartiteGraph.fromEdges(g.nL, g.nR, g.edges.map { case (v, u) => (permL(v), permR(u)) }.toSeq)
-      val (back, relStats) = collect(ReverseSearch.run(relabelled, k, TraversalConfig.iTraversal, _))
+      val (back, relStats) = collect(ReverseSearch.run(relabelled, k, givenOrder, _))
       assert(relStats.links != stats.links, s"k=$k: the permutation left the traversal's links unchanged")
       assert(back.map(s => Solution.of(s.left.map(invL), s.right.map(invR))) == got, s"k=$k: MBPs differ")
     }
@@ -128,6 +167,17 @@ class TraversalSpec extends SparkSpec {
     }
   }
 
+  test("beyond brute-force size: degree-ordered iTraversal's links and solutions are pinned (k=1,2)") {
+    // (links, easCalls, solutions), against (34 394, 20 295, 3 187) and
+    // (166 813, 28 263, 9 260) in the given order: the same MBPs.
+    val pinned = Map(1 -> (19713L, 15719L, 3187L), 2 -> (27226L, 22358L, 9260L))
+    for ((k, g, (got, _)) <- beyondBruteForce) {
+      val (deg, stats) = collect(ReverseSearch.run(g, k, TraversalConfig.iTraversal, _))
+      assert(deg == got, s"k=$k: MBPs differ")
+      assert((stats.links, stats.easCalls, stats.solutions) == pinned(k), s"k=$k")
+    }
+  }
+
   test("root-seed runs reproduce the full run's root split (k=1,2)") {
     // Summed (links, easCalls, solutions) of the runs, one per root seed.
     // Recorded when the root split passed each run its seed and the seeds
@@ -137,6 +187,23 @@ class TraversalSpec extends SparkSpec {
     val pinned = Map(1 -> (49358L, 29895L, 4986L), 2 -> (202540L, 37961L, 13493L))
     for ((k, g, (got, _)) <- beyondBruteForce) {
       val h0 = Biplex.initialLeftAnchored(g, k)
+      val union = scala.collection.mutable.HashSet(h0)
+      var sums = (0L, 0L, 0L)
+      for (v <- 0 until g.nL if !h0.left.contains(v)) {
+        val st = ReverseSearch.run(g, k, givenOrder, s => { union += s; true }, rootSeed = v)
+        sums = (sums._1 + st.links, sums._2 + st.easCalls, sums._3 + st.solutions)
+      }
+      assert(union == got, s"k=$k: MBPs differ")
+      assert(sums == pinned(k), s"k=$k")
+    }
+  }
+
+  test("root-seed runs in degree order: their union with H0 is the full set (k=1,2)") {
+    // Summed (links, easCalls, solutions); rootSeed is a given id, and the
+    // seeds before it are those before it in degree order.
+    val pinned = Map(1 -> (30246L, 23757L, 5074L), 2 -> (28643L, 24914L, 10647L))
+    for ((k, g, (got, _)) <- beyondBruteForce) {
+      val h0 = ReverseSearch.initial(g, k, TraversalConfig.iTraversal)
       val union = scala.collection.mutable.HashSet(h0)
       var sums = (0L, 0L, 0L)
       for (v <- 0 until g.nL if !h0.left.contains(v)) {
@@ -152,19 +219,28 @@ class TraversalSpec extends SparkSpec {
     // Left vertex 0 sees every right vertex, so it is in H0's left side;
     // the others miss more than k of them.
     val g = BipartiteGraph.fromEdges(4, 4, (0 until 4).map(u => (0, u)) ++ Seq((1, 0), (2, 1), (3, 2), (3, 3)))
-    assert(Biplex.initialLeftAnchored(g, 1).left.contains(0))
+    assert(ReverseSearch.initial(g, 1, TraversalConfig.iTraversal).left.contains(0))
     var calls = 0
     val st = ReverseSearch.run(g, 1, TraversalConfig.iTraversal, _ => { calls += 1; true }, rootSeed = 0)
     assert(calls == 0 && st.solutions == 0 && st.easCalls == 0 && st.links == 0)
   }
 
+  test("a root seed that is not a left id is rejected") {
+    // In degree order the seed is looked up among the run's ids; an id
+    // outside the graph must not turn into a full run.
+    val g = TestGraphs.random(4, 4, 0.5, 911)
+    for (cfg <- Seq(TraversalConfig.iTraversal, givenOrder))
+      intercept[IllegalArgumentException](ReverseSearch.run(g, 1, cfg, _ => true, rootSeed = g.nL))
+  }
+
   test("link counts shrink monotonically across the technique stack") {
+    // All four in one left order, the given one, which bTraversal uses.
     var checked = 0
     for ((g, seed) <- TestGraphs.smallBatch(25, maxSide = 5, seed = 4300)) {
       val b = collect(ReverseSearch.run(g, 1, TraversalConfig.bTraversal.copy(eas = EnumAlmostSat.L20R20), _))._2
-      val la = collect(ReverseSearch.run(g, 1, TraversalConfig.iTraversalNoESNoRS, _))._2
-      val rs = collect(ReverseSearch.run(g, 1, TraversalConfig.iTraversalNoES, _))._2
-      val full = collect(ReverseSearch.run(g, 1, TraversalConfig.iTraversal, _))._2
+      val la = collect(ReverseSearch.run(g, 1, TraversalConfig.iTraversalNoESNoRS.copy(degreeOrder = false), _))._2
+      val rs = collect(ReverseSearch.run(g, 1, TraversalConfig.iTraversalNoES.copy(degreeOrder = false), _))._2
+      val full = collect(ReverseSearch.run(g, 1, givenOrder, _))._2
       assert(la.links <= b.links, s"seed $seed: left-anchored should not add links")
       assert(rs.links <= la.links, s"seed $seed: right-shrinking should not add links")
       assert(full.links <= rs.links, s"seed $seed: exclusion should not add links")

@@ -68,6 +68,21 @@ class BipartiteGraphSpec extends SparkSpec {
     intercept[IllegalArgumentException](g.inducedSubgraph(Array(1), Array(0, 0)))
   }
 
+  test("leftByDegree orders by (degree, id) and relabelLeft renames the left side with sorted lists") {
+    for ((g, seed) <- TestGraphs.smallBatch(30, maxSide = 8)) {
+      val order = g.leftByDegree
+      assert(order.sorted.toSeq == (0 until g.nL), s"seed $seed: not a permutation")
+      assert(order.toSeq.map(v => (g.degL(v), v)) == order.toSeq.map(v => (g.degL(v), v)).sorted, s"seed $seed")
+      val h = g.relabelLeft(order)
+      assert(h.edges.map { case (i, u) => (order(i), u) }.toSet == g.edges.toSet, s"seed $seed: edges")
+      for (u <- 0 until h.nR) {
+        val a = h.adjR(u)
+        assert(a.indices.drop(1).forall(i => a(i - 1) < a(i)), s"seed $seed: adjR($u) not sorted")
+        assert(a.forall(i => h.adjL(i).contains(u)), s"seed $seed: adjR($u) disagrees with adjL")
+      }
+    }
+  }
+
   test("edges iterator matches adjacency") {
     val g = TestGraphs.random(5, 5, 0.4, 11)
     val fromIter = g.edges.toSet

@@ -3,6 +3,7 @@ package repro.spark
 import repro.{SparkSpec, TestGraphs}
 import repro.Sinks.collect
 import repro.core.{BruteForce, ReverseSearch, TraversalConfig}
+import repro.graph.BipartiteGraph
 
 class DistITraversalSpec extends SparkSpec {
 
@@ -16,6 +17,15 @@ class DistITraversalSpec extends SparkSpec {
         assert(local == brute, s"seed $seed: local != brute force")
       }
     }
+  }
+
+  test("the driver seeds the tasks from the run's own H0 (k=2)") {
+    // H0's left side is {0, 1} in the given order and {0, 2} in the degree
+    // order iTraversal walks (see TraversalSpec).
+    val g = BipartiteGraph.fromEdges(3, 3, Seq((0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
+    val dist = DistITraversal.collectSolutions(spark, g, 2)
+    assert(dist == BruteForce.maximalKBiplexes(g, 2))
+    assert(dist == collect(ReverseSearch.run(g, 2, TraversalConfig.iTraversal, _))._1)
   }
 
   test("distributed run on a mid-size ER graph matches local") {
