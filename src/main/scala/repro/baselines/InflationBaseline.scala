@@ -24,7 +24,7 @@ object InflationBaseline {
       k: Int,
       sink: Solution => Boolean,
       deadlineNanos: Long = Long.MaxValue,
-  ): Boolean = repro.core.BigStack.run {
+  ): Boolean = {
     val inflated = Inflation.inflate(g)
     KPlexEnum.enumerate(
       inflated,

@@ -55,34 +55,6 @@ object KPlexEnum {
       true
     }
 
-    def rec(cand: Array[Int], excl: Array[Int]): Boolean = {
-      if (System.nanoTime >= deadlineNanos) return false
-      if (cand.isEmpty) {
-        if (excl.isEmpty) return sink(p) // maximal: nothing addable remains
-        return true
-      }
-      // Domination pruning: an excluded vertex adjacent to every vertex of
-      // P ∪ cand stays addable in every descendant (nobody's slack ever
-      // shrinks because of it), so no descendant can be maximal.
-      var e = 0
-      while (e < excl.length) {
-        val x = excl(e)
-        if (nbP(x) == p.length && cand.forall(c => g.hasEdge(x, c))) return true
-        e += 1
-      }
-      val w = cand(0)
-      val rest = cand.drop(1)
-      // Branch 1: include w.
-      addToP(w)
-      val cand1 = rest.filter(feasible)
-      val excl1 = excl.filter(feasible)
-      val cont = rec(cand1, excl1)
-      removeFromP(w)
-      if (!cont) return false
-      // Branch 2: exclude w (w stays individually addable to P here).
-      rec(rest, VertexSets.add(excl, w))
-    }
-
     // Seed with the required vertices; vertices incompatible with them can
     // never appear in a superset (hereditary), so they are dropped.
     var ok = true
@@ -92,6 +64,29 @@ object KPlexEnum {
     }
     if (!ok) return true // required set itself is not a k-plex: empty output
     val others = VertexSets.diff(Array.range(0, g.n), p)
-    rec(others.filter(feasible), VertexSets.empty)
+    // Search nodes still to visit: (cand, excl, w). A node with w ≥ 0 is
+    // the exclude branch of w, and w leaves P before it is visited. A
+    // branch pushes it under the include branch, which has w in P.
+    val stack = scala.collection.mutable.ArrayBuffer((others.filter(feasible), VertexSets.empty, -1))
+    while (stack.nonEmpty) {
+      val (cand, excl, w0) = stack.remove(stack.length - 1)
+      if (w0 >= 0) removeFromP(w0)
+      if (System.nanoTime >= deadlineNanos) return false
+      if (cand.isEmpty) {
+        if (excl.isEmpty && !sink(p)) return false // maximal: nothing addable remains
+      }
+      // Domination pruning: an excluded vertex adjacent to every vertex of
+      // P ∪ cand stays addable in every descendant (nobody's slack ever
+      // shrinks because of it), so no descendant can be maximal.
+      else if (!excl.exists(x => nbP(x) == p.length && cand.forall(c => g.hasEdge(x, c)))) {
+        val w = cand(0)
+        val rest = cand.drop(1)
+        // The exclude branch: w stays individually addable to P there.
+        stack += ((rest, VertexSets.add(excl, w), w))
+        addToP(w)
+        stack += ((rest.filter(feasible), excl.filter(feasible), -1))
+      }
+    }
+    true
   }
 }

@@ -71,17 +71,40 @@ object EnumAlmostSat {
     new SolutionCtx(l, r, nbarR, nbarL)
   }
 
-  /** Enumerate local solutions of the almost-satisfying graph (L∪{v}, R).
-    *
-    * `emit(lWithV, rPrime)` receives each local solution (v included in the
-    * left array, both arrays sorted); returning false aborts. Local
-    * solutions can share their right array, so `emit` must not write to
-    * the arrays it receives; it may keep them. Returns false
-    * iff aborted. `minRight`, when set, skips candidates whose right side is
+  /** The local solutions of the almost-satisfying graph (L∪{v}, R), pulled
+    * one at a time: (L' ∪ {v}, R'), both arrays sorted. They can share
+    * their right array, so a caller must not write to the arrays; it may
+    * keep them. `minRight`, when set, skips candidates whose right side is
     * smaller than the threshold (local-solution pruning for large MBPs,
-    * Section 5). `ctx`, when provided, must be `buildCtx(g, l, r)` — the
-    * traversal engine builds it once per solution and shares it across all
-    * seeds.
+    * Section 5). Past `deadlineNanos` the iterator may end early, so a
+    * caller reads the deadline after the last one. `ctx`, when provided,
+    * must be `buildCtx(g, l, r)`: the traversal engine builds it once per
+    * solution and shares it across all seeds. The Inflated variant collects
+    * the output of one call of the callback-driven [[KPlexEnum]] first.
+    */
+  def locals(
+      g: BipartiteGraph,
+      k: Int,
+      l: Array[Int],
+      r: Array[Int],
+      v: Int,
+      variant: Variant,
+      minRight: Int = 0,
+      deadlineNanos: Long = Long.MaxValue,
+      ctx: SolutionCtx = null,
+  ): Iterator[Solution] = variant match {
+    case Inflated => inflatedLocals(g, k, l, r, v, minRight, deadlineNanos)
+    case _ =>
+      val pruneR = variant == L10R20 || variant == L20R20
+      val pruneL = variant == L20R10 || variant == L20R20
+      val c = if (ctx != null) ctx else buildCtx(g, l, r)
+      refinedLocals(g, k, c, v, pruneR, pruneL, minRight, deadlineNanos)
+  }
+
+  /** [[locals]] with a callback: `emit(lWithV, rPrime)` receives each local
+    * solution; returning false aborts. Returns false iff `emit` aborted or
+    * the deadline has passed. Kept for callers that time one whole call
+    * (`itbench`'s replay, E7); the traversal pulls from [[locals]].
     */
   def run(
       g: BipartiteGraph,
@@ -94,30 +117,24 @@ object EnumAlmostSat {
       minRight: Int = 0,
       deadlineNanos: Long = Long.MaxValue,
       ctx: SolutionCtx = null,
-  ): Boolean = variant match {
-    case Inflated => runInflated(g, k, l, r, v, emit, minRight, deadlineNanos)
-    case _ =>
-      val pruneR = variant == L10R20 || variant == L20R20
-      val pruneL = variant == L20R10 || variant == L20R20
-      val c = if (ctx != null) ctx else buildCtx(g, l, r)
-      runRefined(g, k, c, v, pruneR, pruneL, emit, minRight, deadlineNanos)
-  }
+  ): Boolean =
+    locals(g, k, l, r, v, variant, minRight, deadlineNanos, ctx).forall(s => emit(s.left, s.right)) &&
+      System.nanoTime < deadlineNanos
 
   // ---------------------------------------------------------------------
   // Refined enumerations (Sections 4.1-4.4)
   // ---------------------------------------------------------------------
 
-  private def runRefined(
+  private def refinedLocals(
       g: BipartiteGraph,
       k: Int,
       ctx: SolutionCtx,
       v: Int,
       pruneR: Boolean,
       pruneL: Boolean,
-      emit: (Array[Int], Array[Int]) => Boolean,
       minRight: Int,
       deadlineNanos: Long,
-  ): Boolean = {
+  ): Iterator[Solution] = {
     val l = ctx.l
     val r = ctx.r
     val adjV = g.adjL(v)
@@ -223,10 +240,8 @@ object EnumAlmostSat {
       true
     }
 
-    /** Process one R'' choice; false aborts the whole enumeration. */
-    def processRpp(rpp: Array[Int]): Boolean = {
-      if (System.nanoTime >= deadlineNanos) return false
-      if (rKeep.length + rpp.length < minRight) return true
+    /** The local solutions of one R'' choice, smallest L̄ first. */
+    def localsOf(rpp: Array[Int]): Iterator[Solution] = {
       // Violators: members of R'' already at δ̄(u,L) = k (Lemma 4.3).
       val r2pp = rpp.filter(u => ctx.nbarR(ctx.posR(u)).length == k)
       // L_remo = left vertices disconnecting ≥ 1 violator (≤ k² ids).
@@ -240,70 +255,58 @@ object EnumAlmostSat {
       // R' = R_keep ∪ R'', the right side every local solution of this R''
       // shares.
       val rPrime = VertexSets.union(rKeep, rpp)
-      val maxRemove = math.min(r2pp.length, lRemo.length)
-      var s = 0
-      while (s <= maxRemove) {
-        val it = combinations(lRemo, s)
-        while (it.hasNext) {
-          val lBar = it.next()
-          val skip = pruneL && successes.exists(ok => VertexSets.subsetOf(ok, lBar))
-          if (!skip && isLocal(rpp, lBar)) {
-            successes += lBar
-            if (!emit(localLeft(l, lBar, v), rPrime)) return false
-          }
+      (0 to math.min(r2pp.length, lRemo.length)).iterator
+        .flatMap(s => combinations(lRemo, s))
+        .filter { lBar =>
+          val ok = !(pruneL && successes.exists(VertexSets.subsetOf(_, lBar))) && isLocal(rpp, lBar)
+          if (ok) successes += lBar
+          ok
         }
-        s += 1
-      }
-      true
+        .map(lBar => Solution(localLeft(l, lBar, v), rPrime))
     }
 
     // R'' enumeration, ascending size then lexicographic.
-    var size = 0
-    var ok = true
-    while (ok && size <= math.min(k, rEnum.length)) {
-      if (size == k || !pruneR) {
-        val it = combinations(rEnum, size)
-        while (ok && it.hasNext) ok = processRpp(it.next())
-      } else {
+    (0 to math.min(k, rEnum.length)).iterator
+      .flatMap { size =>
+        if (size == k || !pruneR) combinations(rEnum, size)
         // Lemma 4.2: a viable R'' with |R''| < k must contain all of E1.
-        if (e1.length <= size) {
-          val it = combinations(e2, size - e1.length)
-          while (ok && it.hasNext) ok = processRpp(VertexSets.union(e1, it.next()))
-        }
+        else if (e1.length <= size) combinations(e2, size - e1.length).map(VertexSets.union(e1, _))
+        else Iterator.empty
       }
-      size += 1
-    }
-    ok
+      .takeWhile(_ => System.nanoTime < deadlineNanos)
+      .filter(rpp => rKeep.length + rpp.length >= minRight)
+      .flatMap(localsOf)
   }
 
   // ---------------------------------------------------------------------
   // Inflation baseline (Figure 12's "Inflation")
   // ---------------------------------------------------------------------
 
-  private def runInflated(
+  private def inflatedLocals(
       g: BipartiteGraph,
       k: Int,
       l: Array[Int],
       r: Array[Int],
       v: Int,
-      emit: (Array[Int], Array[Int]) => Boolean,
       minRight: Int,
       deadlineNanos: Long,
-  ): Boolean = {
+  ): Iterator[Solution] = {
     val ls = VertexSets.add(l, v)
     val (inflated, back) = Inflation.inflateSub(g, ls, r)
     val vNew = java.util.Arrays.binarySearch(ls, v)
+    val out = mutable.ArrayBuffer.empty[Solution]
     KPlexEnum.enumerate(
       inflated,
       k + 1,
       seed = Array(vNew),
       sink = { s =>
-        val lPart = s.filter(_ < ls.length).map(back)
         val rPart = s.filter(_ >= ls.length).map(back)
-        if (rPart.length >= minRight) emit(lPart, rPart) else true
+        if (rPart.length >= minRight) out += Solution(s.filter(_ < ls.length).map(back), rPart)
+        true
       },
       deadlineNanos = deadlineNanos,
     )
+    out.iterator
   }
 
   /** L' = (L \ L̄) ∪ {v} in one merge pass, for L̄ ⊆ L and v ∉ L. */

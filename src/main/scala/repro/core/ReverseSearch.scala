@@ -11,13 +11,15 @@ import scala.collection.mutable
   * EnumAlmostSat calls made (almost-satisfying graphs formed): a seed skipped
   * by the θ pruning or because it is already excluded is not counted.
   * `aborted` means the deadline fired; a sink that returns false ends the
-  * run without setting it.
+  * run without setting it. `maxDepth` is the most frames the DFS stack
+  * held at once, one per solution on the path from the root.
   */
 final case class EnumStats(
     solutions: Long,
     links: Long,
     easCalls: Long,
     aborted: Boolean,
+    maxDepth: Int = 0,
 )
 
 /** Sparsification level of the traversal. The paper's techniques stack:
@@ -127,8 +129,8 @@ object ReverseSearch {
     * ids and every solution is mapped back before the sink. All ids a
     * caller passes or receives are g's.
     *
-    * The DFS runs in a dedicated 512 MB-stack thread because solution
-    * graphs can be deep.
+    * The DFS keeps its path in an explicit stack of frames, so the run and
+    * its sink stay on the caller's thread whatever the depth.
     */
   def run(
       g: BipartiteGraph,
@@ -183,24 +185,23 @@ object ReverseSearch {
       sink: Solution => Boolean,
       deadlineNanos: Long,
       rootSeed: Int,
-  ): EnumStats = BigStack.run {
+  ): EnumStats = {
     var solutions = 0L
     var links = 0L
     var easCalls = 0L
     var sinkStopped = false
+    var timedOut = false
     val (thetaL, thetaR) = cfg.theta.getOrElse((0, 0))
     val visited = new mutable.HashSet[Solution]
     // The exclusion set (Algorithm 2) of the node being expanded: a mark per
     // left id, and the marked ids in marking order. A node marks its seeds
-    // as it processes them and unmarks back to its entry height before it
-    // returns, so the set grows and shrinks with the DFS like a stack.
+    // as it processes them and unmarks back to its entry height when its
+    // frame is popped, so the set grows and shrinks with the DFS like a stack.
     val excluded = if (cfg.exclusion) new Array[Boolean](g.nL) else null
     val marked = if (cfg.exclusion) new Array[Int](g.nL) else null
     var nMarked = 0
     def mark(v: Int): Unit =
       if (!excluded(v)) { excluded(v) = true; marked(nMarked) = v; nMarked += 1 }
-
-    def timeUp(): Boolean = System.nanoTime >= deadlineNanos
 
     /** Report a newly found solution; false (the sink's) ends the whole run. */
     def report(s: Solution): Boolean = {
@@ -212,129 +213,144 @@ object ReverseSearch {
       }
     }
 
-    /** The (i)ThreeStep procedure from solution (l, r) under the current
-      * exclusion set. `onlySeed` ≥ 0 (the root of a `rootSeed` run) marks
-      * the seeds before it without processing them, processes it, and
-      * stops; recursive calls take every seed.
+    /** One solution (l, r) on the DFS path and how far its (i)ThreeStep
+      * procedure has got under the current exclusion set. `onlySeed` ≥ 0
+      * (the root of a `rootSeed` run) marks the seeds before it without
+      * processing them, processes it, and stops; other frames take every
+      * seed.
       */
-    def expand(l: Array[Int], r: Array[Int], onlySeed: Int = -1): Boolean = {
-      if (r.length < thetaR) return true // solution pruning
-      if (cfg.exclusion && g.nL - nMarked < thetaL) return true // left-side pruning
-      val entryMarked = nMarked
-      var ok = true
+    final class Frame(l: Array[Int], r: Array[Int], onlySeed: Int) {
+      val entryMarked: Int = nMarked
       // Disconnection structures of (l, r), shared by every seed's
       // EnumAlmostSat call (one ThreeStep = one solution).
-      lazy val ctx = EnumAlmostSat.buildCtx(g, l, r)
-
-      /** Local solution (lFull, rPrime) of the almost-satisfying graph
-        * seeded by left vertex v.
-        */
-      def handleLocal(v: Int, lFull: Array[Int], rPrime: Array[Int]): Boolean = {
-        if (timeUp()) return false
-        // Right-shrinking traversal (Algorithm 2 line 7): drop local
-        // solutions that still admit a vertex from the right universe.
-        if (cfg.rightShrinking && admitsRightVertex(g, k, ctx, v, lFull, rPrime)) return true
-        if (!cfg.exclusion) return follow(Biplex.extend(g, k, lFull, rPrime, leftOnly = cfg.rightShrinking))
-        // lFull avoids the exclusion set: v is not excluded (seed loop), and
-        // l avoids every vertex excluded at this node — those inherited
-        // because the extension toward l avoided them, the rest because l's
-        // members are not seeds here. A link whose extension would take in
-        // an excluded vertex is traversed (counted) but not followed.
-        Biplex.extendExcluding(g, k, lFull, rPrime, excluded) match {
-          case Some(ext) => follow(ext)
-          case None      => links += 1; true
-        }
-      }
-
-      /** Traverse the link toward the extended solution ext. */
-      def follow(ext: Solution): Boolean = {
-        links += 1
-        if (visited.add(ext)) {
-          if (!report(ext)) return false
-          if (!expand(ext.left, ext.right)) return false
-        }
-        true
-      }
-
+      lazy val ctx: EnumAlmostSat.SolutionCtx = EnumAlmostSat.buildCtx(g, l, r)
       // Left-side seeds (all frameworks), ascending, so membership in l and
       // the counts below are read by merge pointers. One count over R's
       // adjacency lists gives |Γ(v) ∩ R| for the θ pruning and, in
       // two-hop mode, the seeds themselves: the vertices neighbouring R
       // (see TraversalConfig.twoHopSeeds).
-      val near =
+      private val near =
         if (cfg.twoHopSeeds || cfg.theta.isDefined) Biplex.occurrences(Biplex.listsOf(g.adjR, r), 1, g.nL)
         else null
-      val twoHop = cfg.twoHopSeeds && r.length < g.nR
-      val nSeeds = if (twoHop) near.ids.length else g.nL
-      var i = 0
-      var p = 0 // first position of near.ids at or after the current seed
-      def common(v: Int): Int = {
+      private val twoHop = cfg.twoHopSeeds && r.length < g.nR
+      private val nSeeds = if (twoHop) near.ids.length else g.nL
+      private var i = 0 // next left seed index
+      private var p = 0 // first position of near.ids at or after the current seed
+      private var q = 0 // first position of l at or after the current seed
+      // Next right seed (bTraversal only; pruned by left-anchored traversal,
+      // and outside a root-seed run's one seed).
+      private var u = if (cfg.leftAnchored || onlySeed >= 0) g.nR else 0
+      /** The seed `locals` belongs to: a left id, or -1 for a right seed. */
+      var v: Int = -1
+      var locals: Iterator[Solution] = Iterator.empty
+
+      private def common(v: Int): Int = {
         while (p < near.ids.length && near.ids(p) < v) p += 1
         if (p < near.ids.length && near.ids(p) == v) near.counts(p) else 0
       }
-      var q = 0 // first position of l at or after the current seed
-      def inL(v: Int): Boolean = {
+      private def inL(v: Int): Boolean = {
         while (q < l.length && l(q) < v) q += 1
         q < l.length && l(q) == v
       }
-      def seed(i: Int): Int = if (twoHop) near.ids(i) else i
-      while (ok && i < nSeeds && (onlySeed < 0 || seed(i) <= onlySeed)) {
-        val v = seed(i)
-        i += 1
-        if (!inL(v)) {
-          // Before onlySeed, the full run would have processed v and marked it.
-          if (v < onlySeed) { if (cfg.exclusion) mark(v) }
-          else if (timeUp()) ok = false
-          else {
-            // A seed already in the exclusion set forms no almost-satisfying
-            // graph: every local solution contains v, so handleLocal would
-            // prune them all. Then almost-satisfying-graph pruning (Section 5).
-            val skip = (cfg.exclusion && excluded(v)) ||
-              (cfg.theta.isDefined && common(v) + k < thetaR)
+      private def seed(i: Int): Int = if (twoHop) near.ids(i) else i
+
+      /** Marks the seed just processed and points `locals` at the next
+        * seed's local solutions; false when no seed is left.
+        */
+      def nextSeed(): Boolean = {
+        if (cfg.exclusion && v >= 0) mark(v)
+        v = -1
+        while (i < nSeeds && (onlySeed < 0 || seed(i) <= onlySeed)) {
+          val w = seed(i)
+          i += 1
+          if (!inL(w)) {
+            // Before onlySeed, the full run would have processed w. A seed
+            // already in the exclusion set forms no almost-satisfying
+            // graph: every local solution contains w, so every one would
+            // be pruned. Then almost-satisfying-graph pruning (Section 5).
+            // A skipped seed still enters the exclusion set.
+            val skip = w < onlySeed || (cfg.exclusion && excluded(w)) ||
+              (cfg.theta.isDefined && common(w) + k < thetaR)
             if (!skip) {
               easCalls += 1
-              ok = EnumAlmostSat.run(
-                g, k, l, r, v, cfg.eas,
-                emit = (lf, rp) => handleLocal(v, lf, rp),
-                minRight = thetaR,
-                deadlineNanos = deadlineNanos,
-                ctx = if (cfg.eas == EnumAlmostSat.Inflated) null else ctx,
-              )
+              v = w
+              locals = EnumAlmostSat.locals(g, k, l, r, w, cfg.eas, thetaR, deadlineNanos,
+                ctx = if (cfg.eas == EnumAlmostSat.Inflated) null else ctx)
+              return true
             }
-            if (ok && cfg.exclusion) mark(v)
+            if (cfg.exclusion) mark(w)
           }
         }
-      }
-      // Right-side seeds (bTraversal only; pruned by left-anchored traversal).
-      // The extension runs on the flipped graph; no right-shrinking or
-      // exclusion test applies at this level.
-      if (ok && !cfg.leftAnchored) {
-        val fg = g.flipped
-        val rightSeeds = (0 until g.nR).iterator.filter(u => !VertexSets.contains(r, u))
-        while (ok && rightSeeds.hasNext) {
-          val u = rightSeeds.next()
-          if (timeUp()) { ok = false }
-          else {
+        // Right-side seeds: the local solutions come from the flipped graph.
+        while (u < g.nR) {
+          val x = u
+          u += 1
+          if (!VertexSets.contains(r, x)) {
             easCalls += 1
-            ok = EnumAlmostSat.run(
-              fg, k, r, l, u, cfg.eas,
-              emit = (rf, lp) => !timeUp() && follow(Biplex.extend(fg, k, rf, lp, leftOnly = false).flip),
-              deadlineNanos = deadlineNanos,
-            )
+            locals = EnumAlmostSat.locals(g.flipped, k, r, l, x, cfg.eas, deadlineNanos = deadlineNanos)
+            return true
           }
         }
+        false
       }
-      // Leave the exclusion set as this node found it.
-      while (nMarked > entryMarked) { nMarked -= 1; excluded(marked(nMarked)) = false }
-      ok
     }
 
+    val stack = mutable.ArrayBuffer.empty[Frame]
+    var maxDepth = 0
+    def push(s: Solution, onlySeed: Int = -1): Unit =
+      // Solution pruning and left-side pruning (Section 5).
+      if (s.right.length >= thetaR && !(cfg.exclusion && g.nL - nMarked < thetaL)) {
+        stack += new Frame(s.left, s.right, onlySeed)
+        maxDepth = math.max(maxDepth, stack.length)
+      }
+
+    /** Traverse the link toward the extended solution ext. */
+    def follow(ext: Solution): Unit = {
+      links += 1
+      if (visited.add(ext) && report(ext)) push(ext)
+    }
+
+    /** The link from frame f toward its local solution loc. */
+    def link(f: Frame, loc: Solution): Unit =
+      // A right seed's local solution is extended on the flipped graph; no
+      // right-shrinking or exclusion test applies to it (bTraversal only).
+      if (f.v < 0) follow(Biplex.extend(g.flipped, k, loc.left, loc.right, leftOnly = false).flip)
+      // Right-shrinking traversal (Algorithm 2 line 7): drop local
+      // solutions that still admit a vertex from the right universe.
+      else if (cfg.rightShrinking && admitsRightVertex(g, k, f.ctx, f.v, loc.left, loc.right)) ()
+      else if (!cfg.exclusion) follow(Biplex.extend(g, k, loc.left, loc.right, leftOnly = cfg.rightShrinking))
+      // loc avoids the exclusion set: f.v is not excluded (seed loop), and
+      // f's left side avoids every vertex excluded at f — those inherited
+      // because the extension toward f avoided them, the rest because its
+      // members are not seeds there. A link whose extension would take in an excluded
+      // vertex is traversed (counted) but not followed.
+      else Biplex.extendExcluding(g, k, loc.left, loc.right, excluded) match {
+        case Some(ext) => follow(ext)
+        case None      => links += 1
+      }
+
+    // The DFS in pre-order: a frame's next local solution is linked (and a
+    // new solution pushed on top) before the frame asks for another. The
+    // deadline is read after the iterator moves, because a seed's local
+    // solutions can end at the deadline: then the run is aborted even when
+    // that seed was the last one left.
     val h0 = start(g, k, cfg)
     visited += h0
-    val finished = (rootSeed >= 0 || report(h0)) && expand(h0.left, h0.right, rootSeed)
+    if (rootSeed >= 0 || report(h0)) push(h0, rootSeed)
+    while (stack.nonEmpty && !sinkStopped && !timedOut) {
+      val f = stack.last
+      val more = f.locals.hasNext
+      if (System.nanoTime >= deadlineNanos) timedOut = true
+      else if (more) link(f, f.locals.next())
+      else if (!f.nextSeed()) {
+        // Leave the exclusion set as this node found it.
+        while (nMarked > f.entryMarked) { nMarked -= 1; excluded(marked(nMarked)) = false }
+        stack.remove(stack.length - 1)
+      }
+    }
     // A run stops early only when the sink or the deadline says so, and the
     // sink's stop is not an abort.
-    EnumStats(solutions, links, easCalls, aborted = !finished && !sinkStopped)
+    EnumStats(solutions, links, easCalls, aborted = timedOut, maxDepth)
   }
 
   /** Convenience: collect the first n solutions. */
@@ -389,23 +405,5 @@ object ReverseSearch {
       i += 1
     }
     Biplex.searchAddableRight(g, k, lFull, rPrime, java.util.Arrays.copyOf(sat, nSat))
-  }
-}
-
-/** Runs a thunk in a dedicated thread with a large stack — solution-graph
-  * DFS recursion can be as deep as the number of solutions.
-  */
-object BigStack {
-  def run[A](body: => A): A = {
-    var out: Either[Throwable, A] = null
-    val t = new Thread(null, () => {
-      out = try Right(body) catch { case e: Throwable => Left(e) }
-    }, "repro-bigstack", 512L * 1024 * 1024)
-    t.start()
-    t.join()
-    out match {
-      case Right(a) => a
-      case Left(e)  => throw e
-    }
   }
 }

@@ -1,12 +1,11 @@
 package repro.graph
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Set algebra over sorted, duplicate-free `Array[Int]` vertex sets.
   *
   * Every enumerator in this reproduction represents the sides of a
   * (candidate) solution as sorted int arrays; these primitives keep the
-  * inner loops allocation-light and O(n + m) / O(log n).
+  * inner loops allocation-light and O(n + m) / O(log n): a result is built
+  * in a primitive array and trimmed by one copy, never boxed.
   */
 object VertexSets {
 
@@ -22,13 +21,13 @@ object VertexSets {
 
   private def dedupSorted(a: Array[Int]): Array[Int] = {
     if (a.length <= 1) return a
-    val out = new ArrayBuffer[Int](a.length)
-    var i = 0
+    val out = new Array[Int](a.length)
+    var i = 0; var n = 0
     while (i < a.length) {
-      if (out.isEmpty || out(out.length - 1) != a(i)) out += a(i)
+      if (n == 0 || out(n - 1) != a(i)) { out(n) = a(i); n += 1 }
       i += 1
     }
-    out.toArray
+    java.util.Arrays.copyOf(out, n)
   }
 
   /** Membership via binary search. */
@@ -60,38 +59,39 @@ object VertexSets {
 
   /** a ∩ b for sorted arrays. */
   def intersect(a: Array[Int], b: Array[Int]): Array[Int] = {
-    val out = new ArrayBuffer[Int](math.min(a.length, b.length))
-    var i = 0; var j = 0
+    val out = new Array[Int](math.min(a.length, b.length))
+    var i = 0; var j = 0; var n = 0
     while (i < a.length && j < b.length) {
-      if (a(i) == b(j)) { out += a(i); i += 1; j += 1 }
+      if (a(i) == b(j)) { out(n) = a(i); n += 1; i += 1; j += 1 }
       else if (a(i) < b(j)) i += 1
       else j += 1
     }
-    out.toArray
+    java.util.Arrays.copyOf(out, n)
   }
 
   /** a \ b for sorted arrays. */
   def diff(a: Array[Int], b: Array[Int]): Array[Int] = {
-    val out = new ArrayBuffer[Int](a.length)
-    var i = 0; var j = 0
+    val out = new Array[Int](a.length)
+    var i = 0; var j = 0; var n = 0
     while (i < a.length) {
       while (j < b.length && b(j) < a(i)) j += 1
-      if (j >= b.length || b(j) != a(i)) out += a(i)
+      if (j >= b.length || b(j) != a(i)) { out(n) = a(i); n += 1 }
       i += 1
     }
-    out.toArray
+    java.util.Arrays.copyOf(out, n)
   }
 
   /** a ∪ b for sorted arrays. */
   def union(a: Array[Int], b: Array[Int]): Array[Int] = {
-    val out = new ArrayBuffer[Int](a.length + b.length)
-    var i = 0; var j = 0
+    val out = new Array[Int](a.length + b.length)
+    var i = 0; var j = 0; var n = 0
     while (i < a.length || j < b.length) {
-      if (j >= b.length || (i < a.length && a(i) < b(j))) { out += a(i); i += 1 }
-      else if (i >= a.length || b(j) < a(i)) { out += b(j); j += 1 }
-      else { out += a(i); i += 1; j += 1 }
+      if (j >= b.length || (i < a.length && a(i) < b(j))) { out(n) = a(i); i += 1 }
+      else if (i >= a.length || b(j) < a(i)) { out(n) = b(j); j += 1 }
+      else { out(n) = a(i); i += 1; j += 1 }
+      n += 1
     }
-    out.toArray
+    java.util.Arrays.copyOf(out, n)
   }
 
   /** Insert x into sorted set a (no-op if present). */

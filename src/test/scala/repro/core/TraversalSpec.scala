@@ -249,6 +249,50 @@ class TraversalSpec extends SparkSpec {
     assert(checked > 0, "sparsification never fired on the batch")
   }
 
+  test("the DFS stack holds at most one frame per solution, at every technique level") {
+    // A frame is a solution on the DFS path, and the visited set keeps
+    // every solution on one path at most once.
+    for ((name, cfg) <- repro.bench.Experiments.variantNames; k <- 1 to 2;
+         (g, seed) <- TestGraphs.smallBatch(15, maxSide = 6, seed = 4700 + k)) {
+      val stats = ReverseSearch.run(g, k, cfg, _ => true)
+      assert(stats.maxDepth >= 1 && stats.maxDepth <= stats.solutions, s"$name seed $seed k=$k: $stats")
+    }
+    for ((k, _, (_, stats)) <- beyondBruteForce)
+      assert(stats.maxDepth >= 1 && stats.maxDepth <= stats.solutions, s"k=$k: $stats")
+  }
+
+  test("budget: a deadline inside the last seed's local solutions aborts the run") {
+    // Left 0 sees every right vertex and left 1 none, so H0 is ({0}, R) and
+    // left 1 is the only seed. Under L10R10 its almost-satisfying graph
+    // first walks the 683 000 R'' of fewer than k vertices, none of them a
+    // local solution; the run as a whole has millions of links. The
+    // deadline ends the walk, after which the DFS has nothing left to do.
+    val g = BipartiteGraph.fromEdges(2, 160, (0 until 160).map(u => (0, u)))
+    for (cfg <- Seq(givenOrder, TraversalConfig.iTraversal).map(_.copy(eas = EnumAlmostSat.L10R10))) {
+      val t0 = System.nanoTime
+      val stats = ReverseSearch.run(g, 4, cfg, _ => true, t0 + 20L * 1000000)
+      assert(stats.aborted, stats)
+      assert(System.nanoTime - t0 < 10L * 1000000000, "returned late")
+    }
+  }
+
+  test("budget: a run its deadline cuts reports aborted; one that is not cut is complete") {
+    // Deadlines spread over the run, for the full run and for the root-seed
+    // runs, whose root has one seed: a deadline that ends a seed's local
+    // solutions after the DFS has nothing else left to do must still abort.
+    // A run that reports no abort must match the uncut run's counts too,
+    // because a cut enumeration can lose links without losing an MBP.
+    val g = BipartiteGen.er(16, 16, 80, seed = 2)
+    val cfg = givenOrder
+    val h0 = ReverseSearch.initial(g, 1, cfg)
+    val runs = (-1 +: (0 until g.nL).filter(v => !h0.left.contains(v)))
+      .map(v => v -> collect(ReverseSearch.run(g, 1, cfg, _, rootSeed = v)))
+    for (budgetUs <- Seq(50, 200, 1000, 5000, 20000); (v, exp) <- runs) {
+      val (cut, st) = collect(ReverseSearch.run(g, 1, cfg, _, System.nanoTime + budgetUs * 1000L, v))
+      assert(st.aborted || (cut, st) == exp, s"root seed $v, $budgetUs us")
+    }
+  }
+
   test("first-N early termination returns exactly N solutions and they are valid") {
     val g = TestGraphs.random(8, 8, 0.45, 909)
     val all = collect(ReverseSearch.run(g, 1, TraversalConfig.iTraversal, _))._1
@@ -360,7 +404,7 @@ class TraversalSpec extends SparkSpec {
     val g = BipartiteGen.er(20, 20, 100, seed = 1)
     var calls = 0
     intercept[SinkFailure] {
-      // Thrown deep in the DFS, on the big-stack thread.
+      // Thrown deep in the DFS, on the caller's thread.
       ReverseSearch.run(g, 1, TraversalConfig.iTraversal, _ => { calls += 1; if (calls == 50) throw new SinkFailure; true })
     }
     assert(calls == 50)
