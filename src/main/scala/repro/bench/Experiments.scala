@@ -109,10 +109,13 @@ object Experiments {
   // E3 — Figure 8: delay (full enumeration, small datasets)
   // -------------------------------------------------------------------
 
-  /** Max delay in microseconds over a full enumeration, or INF / OUT. */
+  /** Max delay in microseconds over a full enumeration, or INF / OUT.
+    * iTraversal keeps the given left order, which `e3_delay` holds: the
+    * order moves the largest gap between consecutive MBPs.
+    */
   private def maxDelay(algo: String, g: BipartiteGraph, k: Int, budgetMs: Long): String = {
     val meter = new Harness.DelayMeter
-    runAlgo(algo, g, k, TraversalConfig.iTraversal, budgetMs, _ => { meter.tick(); true })
+    runAlgo(algo, g, k, TraversalConfig.iTraversal.copy(degreeOrder = false), budgetMs, _ => { meter.tick(); true })
       .fold("OUT")(completed => if (completed) s"${meter.finish()}" else "INF")
   }
 

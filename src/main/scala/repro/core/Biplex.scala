@@ -288,9 +288,10 @@ object Biplex {
     // Candidates arrive ascending, each once, so both buffers stay sorted;
     // accepted vertices are merged into l0 once at the end — re-allocating
     // the set per add would be quadratic when a pass accepts a large
-    // fraction of the universe (e.g. extending toward (L, ∅)).
-    val added = new mutable.ArrayBuilder.ofInt
-    val setAside = new mutable.ArrayBuilder.ofInt
+    // fraction of the universe (e.g. extending toward (L, ∅)). A buffer is
+    // made at its first vertex: most passes set nothing aside.
+    var added: mutable.ArrayBuilder.ofInt = null
+    var setAside: mutable.ArrayBuilder.ofInt = null
 
     /** Is a left vertex v ∉ L with neighbours nb addable to the current
       * (L, R): δ̄(v, R) ≤ k and v adjacent to every saturated u ∈ R?
@@ -310,9 +311,14 @@ object Biplex {
       * addable and update the bookkeeping.
       */
     def tryAdd(v: Int): Unit = {
-      if (excluded != null && excluded(v)) { setAside += v; return }
+      if (excluded != null && excluded(v)) {
+        if (setAside == null) setAside = new mutable.ArrayBuilder.ofInt
+        setAside += v
+        return
+      }
       val nb = g.adjL(v)
       if (!addable(nb)) return
+      if (added == null) added = new mutable.ArrayBuilder.ofInt
       added += v
       var j = 0
       while (j < r.length) {
@@ -358,9 +364,8 @@ object Biplex {
         }
       }
     }
-    if (setAside.result().exists(x => addable(g.adjL(x)))) return null
-    val a = added.result()
-    if (a.isEmpty) l0 else VertexSets.union(l0, a)
+    if (setAside != null && setAside.result().exists(x => addable(g.adjL(x)))) return null
+    if (added == null) l0 else VertexSets.union(l0, added.result())
   }
 
   /** The paper's initial solution H0 = (L0, R_all): greedily grow L0 from ∅. */

@@ -52,6 +52,57 @@ object EnumAlmostSat {
   ) {
     def posR(u: Int): Int = java.util.Arrays.binarySearch(r, u)
     def posL(w: Int): Int = java.util.Arrays.binarySearch(l, w)
+
+    // The outside table (see buildOutside), flat: outside right vertex
+    // outIds(i) misses the left vertices at positions
+    // outNbar(outStart(i) until outStart(i + 1)) of `l`. Null until built.
+    private[core] var outIds: Array[Int] = null
+    private[core] var outStart: Array[Int] = null
+    private[core] var outNbar: Array[Int] = null
+
+    /** Builds, at most once, the table of right vertices u ∉ R with
+      * δ̄(u, L) ≤ k, each with its at most k non-neighbours in L, from one
+      * count over L's adjacency lists. It is empty when |L| ≤ k or R is the
+      * whole right side. Once it is built, [[EnumAlmostSat.locals]] on this
+      * context skips the R'' choices whose every local solution admits one
+      * of these vertices (DESIGN §3), so only a caller that applies the
+      * right-shrinking test to every local solution may build it. `g` and
+      * `k` must be those of the calls that use the context.
+      */
+    def buildOutside(g: BipartiteGraph, k: Int): Unit = if (outIds == null) {
+      val hits =
+        if (l.length <= k || r.length == g.nR) new Biplex.Occurrences(VertexSets.empty, VertexSets.empty)
+        else Biplex.occurrences(Biplex.listsOf(g.adjL, l), l.length - k, g.nR)
+      // Every u ∈ R misses at most k of L, so the hits hold all of R.
+      val ids = new Array[Int](if (hits.ids.length == 0) 0 else hits.ids.length - r.length)
+      val start = new Array[Int](ids.length + 1)
+      val nbar = new Array[Int](k * ids.length)
+      var n = 0 // entries so far
+      var q = 0 // first position of r at or after the current hit
+      var i = 0
+      while (i < hits.ids.length) {
+        val u = hits.ids(i)
+        while (q < r.length && r(q) < u) q += 1
+        if (q == r.length || r(q) != u) {
+          // u misses |L| − count members of L; find them, in order.
+          val adj = g.adjR(u)
+          val until = start(n) + l.length - hits.counts(i)
+          var o = start(n)
+          var p = 0
+          while (o < until) {
+            if (!VertexSets.contains(adj, l(p))) { nbar(o) = p; o += 1 }
+            p += 1
+          }
+          ids(n) = u
+          n += 1
+          start(n) = o
+        }
+        i += 1
+      }
+      outStart = start
+      outNbar = nbar
+      outIds = ids
+    }
   }
 
   /** Build the context for solution (L, R) in O((|L|+|R|)·(deg+side)). */
@@ -79,8 +130,13 @@ object EnumAlmostSat {
     * Section 5). Past `deadlineNanos` the iterator may end early, so a
     * caller reads the deadline after the last one. `ctx`, when provided,
     * must be `buildCtx(g, l, r)`: the traversal engine builds it once per
-    * solution and shares it across all seeds. The Inflated variant collects
-    * the output of one call of the callback-driven [[KPlexEnum]] first.
+    * solution and shares it across all seeds. Without ctx, or before
+    * [[SolutionCtx.buildOutside]] has run on it, every local solution is
+    * returned. After it, the refined variants skip the R'' choices whose
+    * every local solution admits a right vertex outside R, and return only
+    * the others; the engine builds the table only when it runs the
+    * right-shrinking test. The Inflated variant collects the output of one
+    * call of the callback-driven [[KPlexEnum]] first and never skips.
     */
   def locals(
       g: BipartiteGraph,
@@ -156,6 +212,51 @@ object EnumAlmostSat {
       }
       dbarKeep(i) = c
       i += 1
+    }
+
+    // Right-shrinking pruning (DESIGN §3). An outside vertex u of ctx's
+    // table is addable to every local solution of an R'' when each of its
+    // non-neighbours in L ∪ {v} has δ̄(·, R_keep ∪ R'') < k; the traversal's
+    // right-shrinking test rejects them all, so the R'' is skipped. Read
+    // once the table exists, `cands` holds the entries that can do this
+    // for some R'': an entry e with u ∈ Γ(v) as e, for any R''; one with
+    // u ∉ Γ(v) as ~e, only for |R''| < k, because v is then a non-neighbour
+    // and δ̄(v, R') = |R''|. An entry with δ̄(u, L ∪ {v}) > k, or with a
+    // non-neighbour in L already at k through R_keep, can do it for none.
+    var cands: Array[Int] = null
+    var nCands = 0
+
+    /** Does every non-neighbour in L of table entry e stay below k? */
+    def slack(e: Int, rpp: Array[Int]): Boolean = {
+      var j = ctx.outStart(e)
+      while (j < ctx.outStart(e + 1) &&
+             dbarKeep(ctx.outNbar(j)) + VertexSets.intersectCount(ctx.nbarL(ctx.outNbar(j)), rpp) < k) j += 1
+      j == ctx.outStart(e + 1)
+    }
+
+    def killed(rpp: Array[Int]): Boolean = ctx.outIds != null && {
+      if (cands == null) {
+        cands = new Array[Int](ctx.outIds.length)
+        var q = 0 // first position of adjV at or after the current entry's vertex
+        var e = 0
+        while (e < ctx.outIds.length) {
+          while (q < adjV.length && adjV(q) < ctx.outIds(e)) q += 1
+          val adjacent = q < adjV.length && adjV(q) == ctx.outIds(e)
+          if ((adjacent || ctx.outStart(e + 1) - ctx.outStart(e) < k) && slack(e, VertexSets.empty)) {
+            cands(nCands) = if (adjacent) e else ~e
+            nCands += 1
+          }
+          e += 1
+        }
+      }
+      var found = false
+      var c = 0
+      while (!found && c < nCands) {
+        val e = cands(c)
+        found = if (e >= 0) slack(e, rpp) else rpp.length < k && slack(~e, rpp)
+        c += 1
+      }
+      found
     }
 
     /** Is (L \ lBar ∪ {v}, rKeep ∪ rpp) a local solution? O(k² log). */
@@ -274,7 +375,7 @@ object EnumAlmostSat {
         else Iterator.empty
       }
       .takeWhile(_ => System.nanoTime < deadlineNanos)
-      .filter(rpp => rKeep.length + rpp.length >= minRight)
+      .filter(rpp => rKeep.length + rpp.length >= minRight && !killed(rpp))
       .flatMap(localsOf)
   }
 

@@ -12,7 +12,11 @@ import scala.collection.mutable
   * by the θ pruning or because it is already excluded is not counted.
   * `aborted` means the deadline fired; a sink that returns false ends the
   * run without setting it. `maxDepth` is the most frames the DFS stack
-  * held at once, one per solution on the path from the root.
+  * held at once, one per solution on the path from the root. `locals`
+  * counts the local solutions the DFS pulled from EnumAlmostSat, and
+  * `rightRejected` those the right-shrinking test (Algorithm 2 line 7)
+  * dropped; every other pulled local solution is a link, so
+  * locals = links + rightRejected.
   */
 final case class EnumStats(
     solutions: Long,
@@ -20,6 +24,8 @@ final case class EnumStats(
     easCalls: Long,
     aborted: Boolean,
     maxDepth: Int = 0,
+    locals: Long = 0,
+    rightRejected: Long = 0,
 )
 
 /** Sparsification level of the traversal. The paper's techniques stack:
@@ -189,6 +195,8 @@ object ReverseSearch {
     var solutions = 0L
     var links = 0L
     var easCalls = 0L
+    var pulled = 0L
+    var rightRejected = 0L
     var sinkStopped = false
     var timedOut = false
     val (thetaL, thetaR) = cfg.theta.getOrElse((0, 0))
@@ -316,8 +324,13 @@ object ReverseSearch {
       // right-shrinking or exclusion test applies to it (bTraversal only).
       if (f.v < 0) follow(Biplex.extend(g.flipped, k, loc.left, loc.right, leftOnly = false).flip)
       // Right-shrinking traversal (Algorithm 2 line 7): drop local
-      // solutions that still admit a vertex from the right universe.
-      else if (cfg.rightShrinking && admitsRightVertex(g, k, f.ctx, f.v, loc.left, loc.right)) ()
+      // solutions that still admit a vertex from the right universe. From
+      // a frame's first such drop on, its EnumAlmostSat calls skip the R''
+      // choices whose every local solution this test would drop.
+      else if (cfg.rightShrinking && admitsRightVertex(g, k, f.ctx, f.v, loc.left, loc.right)) {
+        rightRejected += 1
+        if (cfg.eas != EnumAlmostSat.Inflated) f.ctx.buildOutside(g, k)
+      }
       else if (!cfg.exclusion) follow(Biplex.extend(g, k, loc.left, loc.right, leftOnly = cfg.rightShrinking))
       // loc avoids the exclusion set: f.v is not excluded (seed loop), and
       // f's left side avoids every vertex excluded at f — those inherited
@@ -341,7 +354,7 @@ object ReverseSearch {
       val f = stack.last
       val more = f.locals.hasNext
       if (System.nanoTime >= deadlineNanos) timedOut = true
-      else if (more) link(f, f.locals.next())
+      else if (more) { pulled += 1; link(f, f.locals.next()) }
       else if (!f.nextSeed()) {
         // Leave the exclusion set as this node found it.
         while (nMarked > f.entryMarked) { nMarked -= 1; excluded(marked(nMarked)) = false }
@@ -350,7 +363,7 @@ object ReverseSearch {
     }
     // A run stops early only when the sink or the deadline says so, and the
     // sink's stop is not an abort.
-    EnumStats(solutions, links, easCalls, aborted = timedOut, maxDepth)
+    EnumStats(solutions, links, easCalls, aborted = timedOut, maxDepth, pulled, rightRejected)
   }
 
   /** Convenience: collect the first n solutions. */

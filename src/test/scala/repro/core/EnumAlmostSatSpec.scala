@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.{SparkSpec, TestGraphs}
+import repro.{SparkSpec, Sinks, TestGraphs}
 import repro.graph.{BipartiteGraph, VertexSets}
 import scala.collection.mutable
 import scala.util.Random
@@ -90,6 +90,36 @@ class EnumAlmostSatSpec extends SparkSpec {
         }, ctx = ctx)
       }
       assert(checked > 0)
+    }
+  }
+
+  for (k <- 0 to 3) {
+    test(s"with the outside table built, only local solutions the right-shrinking test rejects go (k=$k)") {
+      // (MBP, outside seed) pairs, every refined variant; the MBPs come
+      // from iTraversal, as graphs large enough for an outside vertex to
+      // miss k of |L| > k vertices are beyond brute force at k = 3. The
+      // table drops whole R'' choices; what it drops must be rejected by
+      // admitsRightVertex, and what it keeps must be the unpruned
+      // iterator's output in its order.
+      var dropped = 0
+      for ((g, seed) <- TestGraphs.smallBatch(60, maxSide = 9, seed = 3950 + k);
+           h <- Sinks.collect(ReverseSearch.run(g, k, TraversalConfig.iTraversal, _))._1.toSeq.sortBy(_.toString);
+           v <- 0 until g.nL if !VertexSets.contains(h.left, v);
+           variant <- EnumAlmostSat.allVariants if variant != EnumAlmostSat.Inflated) {
+        val plain = EnumAlmostSat.locals(g, k, h.left, h.right, v, variant).toVector
+        val ctx = EnumAlmostSat.buildCtx(g, h.left, h.right)
+        ctx.buildOutside(g, k)
+        val pruned = EnumAlmostSat.locals(g, k, h.left, h.right, v, variant, ctx = ctx).toVector
+        def rejected(s: Solution) = ReverseSearch.admitsRightVertex(g, k, ctx, v, s.left, s.right)
+        val clue = s"seed $seed $variant v=$v H=$h"
+        assert(plain.filter(pruned.toSet) == pruned, s"$clue: kept ${pruned.filterNot(plain.toSet)}")
+        assert(plain.filterNot(pruned.toSet).forall(rejected), s"$clue: dropped a local solution with no addable right vertex")
+        dropped += plain.length - pruned.length
+      }
+      info(s"dropped $dropped local solutions")
+      // At k = 0 the table of a maximal solution is empty: a right vertex
+      // outside R that sees all of L would extend it.
+      if (k == 0) assert(dropped == 0) else assert(dropped > 0, "the table never dropped an R''")
     }
   }
 

@@ -261,6 +261,35 @@ class TraversalSpec extends SparkSpec {
       assert(stats.maxDepth >= 1 && stats.maxDepth <= stats.solutions, s"k=$k: $stats")
   }
 
+  test("every local solution pulled is a link or a right-shrinking rejection, at every technique level") {
+    // locals = links + rightRejected, for complete runs at the four levels
+    // (k = 1, 2) and for LargeMbp; only right-shrinking levels reject.
+    def check(name: String, cfg: TraversalConfig, st: EnumStats): Unit = {
+      assert(st.locals == st.links + st.rightRejected, s"$name: $st")
+      if (!cfg.rightShrinking) assert(st.rightRejected == 0, s"$name: $st")
+    }
+    var rejected = 0L
+    for ((name, cfg) <- repro.bench.Experiments.variantNames; k <- 1 to 2;
+         (g, seed) <- TestGraphs.smallBatch(15, maxSide = 6, seed = 4750 + k)) {
+      val st = ReverseSearch.run(g, k, cfg, _ => true)
+      check(s"$name seed $seed k=$k", cfg, st)
+      rejected += st.rightRejected
+    }
+    for ((k, g, _) <- beyondBruteForce) {
+      val st = ReverseSearch.run(g, k, TraversalConfig.iTraversal, _ => true)
+      check(s"ER k=$k", TraversalConfig.iTraversal, st)
+      rejected += st.rightRejected
+    }
+    assert(rejected > 0, "right-shrinking never rejected a local solution")
+    for ((g, thetaL, thetaR) <- Seq((BipartiteGen.er(20, 20, 100, seed = 1), 3, 4),
+                                    (repro.gen.FraudGen.generate(seed = 1).graph, 4, 7))) {
+      var n = 0
+      val st = LargeMbp.enumerate(g, 1, thetaL, thetaR, _ => { n += 1; n < 1000 })
+      check(s"LargeMbp $g", TraversalConfig.iTraversal, st)
+      assert(st.rightRejected > 0, s"LargeMbp $g: $st")
+    }
+  }
+
   test("budget: a deadline inside the last seed's local solutions aborts the run") {
     // Left 0 sees every right vertex and left 1 none, so H0 is ({0}, R) and
     // left 1 is the only seed. Under L10R10 its almost-satisfying graph
