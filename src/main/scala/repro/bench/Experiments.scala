@@ -35,7 +35,7 @@ object Experiments {
     TraversalConfig.iTraversal.copy(twoHopSeeds = true, degreeOrder = false)
 
   /** Inflation memory guard ~ what 32 GB held for the paper, scaled. */
-  val outEdgeLimit: Long = sys.env.getOrElse("REPRO_OUT_EDGES", "30000000").toLong
+  val outEdgeLimit: Long = 30000000L
 
   /** The algorithm dispatch: run `algo` on (g, k) until `sink` returns
     * false or `budgetMs` runs out, with iTraversal configured as

@@ -63,13 +63,10 @@ object EnumAlmostSat {
     /** Builds, at most once, the table of right vertices u ∉ R with
       * δ̄(u, L) ≤ k, each with its at most k non-neighbours in L, from one
       * count over L's adjacency lists. It is empty when |L| ≤ k or R is the
-      * whole right side. Once it is built, [[EnumAlmostSat.locals]] on this
-      * context skips the R'' choices whose every local solution admits one
-      * of these vertices (DESIGN §3), so only a caller that applies the
-      * right-shrinking test to every local solution may build it. `g` and
-      * `k` must be those of the calls that use the context.
+      * whole right side. Only an answer of true from [[Local.admitsRight]]
+      * builds it (see [[locals]]).
       */
-    def buildOutside(g: BipartiteGraph, k: Int): Unit = if (outIds == null) {
+    private[EnumAlmostSat] def buildOutside(g: BipartiteGraph, k: Int): Unit = if (outIds == null) {
       val hits =
         if (l.length <= k || r.length == g.nR) new Biplex.Occurrences(VertexSets.empty, VertexSets.empty)
         else Biplex.occurrences(Biplex.listsOf(g.adjL, l), l.length - k, g.nR)
@@ -122,21 +119,28 @@ object EnumAlmostSat {
     new SolutionCtx(l, r, nbarR, nbarL)
   }
 
+  /** One local solution (L' ∪ {v}, R'), both arrays sorted; local
+    * solutions can share their right array, so a holder must not write to
+    * the arrays. `admitsRight` is the right-shrinking test (Algorithm 2
+    * line 7), the predicate of [[Biplex.existsAddableRight]], computed on
+    * each call.
+    */
+  final class Local(val left: Array[Int], val right: Array[Int], rightTest: () => Boolean) {
+    def admitsRight: Boolean = rightTest()
+  }
+
   /** The local solutions of the almost-satisfying graph (L∪{v}, R), pulled
-    * one at a time: (L' ∪ {v}, R'), both arrays sorted. They can share
-    * their right array, so a caller must not write to the arrays; it may
-    * keep them. `minRight`, when set, skips candidates whose right side is
-    * smaller than the threshold (local-solution pruning for large MBPs,
+    * one at a time. `minRight`, when set, skips candidates whose right side
+    * is smaller than the threshold (local-solution pruning for large MBPs,
     * Section 5). Past `deadlineNanos` the iterator may end early, so a
     * caller reads the deadline after the last one. `ctx`, when provided,
-    * must be `buildCtx(g, l, r)`: the traversal engine builds it once per
-    * solution and shares it across all seeds. Without ctx, or before
-    * [[SolutionCtx.buildOutside]] has run on it, every local solution is
-    * returned. After it, the refined variants skip the R'' choices whose
-    * every local solution admits a right vertex outside R, and return only
-    * the others; the engine builds the table only when it runs the
-    * right-shrinking test. The Inflated variant collects the output of one
-    * call of the callback-driven [[KPlexEnum]] first and never skips.
+    * must be `buildCtx(g, l, r)` and be used with one k: the traversal
+    * engine builds it once per solution and shares it across all seeds.
+    * Once a local solution on ctx has answered `admitsRight` with true, the
+    * refined variants skip the R'' choices whose every local solution would
+    * too (DESIGN §3), so a caller that never asks gets them all. The
+    * Inflated variant collects the output of one call of the
+    * callback-driven [[KPlexEnum]] first and never skips.
     */
   def locals(
       g: BipartiteGraph,
@@ -148,7 +152,7 @@ object EnumAlmostSat {
       minRight: Int = 0,
       deadlineNanos: Long = Long.MaxValue,
       ctx: SolutionCtx = null,
-  ): Iterator[Solution] = variant match {
+  ): Iterator[Local] = variant match {
     case Inflated => inflatedLocals(g, k, l, r, v, minRight, deadlineNanos)
     case _ =>
       val pruneR = variant == L10R20 || variant == L20R20
@@ -190,34 +194,44 @@ object EnumAlmostSat {
       pruneL: Boolean,
       minRight: Int,
       deadlineNanos: Long,
-  ): Iterator[Solution] = {
+  ): Iterator[Local] = {
     val l = ctx.l
     val r = ctx.r
     val adjV = g.adjL(v)
     val rKeep = VertexSets.intersect(adjV, r) // Lemma 4.1: always kept
     val rEnum = VertexSets.diff(r, adjV)
-    // Partition of R_enum by δ̄(u, L) (Section 4.2).
-    val e1 = rEnum.filter(u => ctx.nbarR(ctx.posR(u)).length <= k - 1)
-    val e2 = rEnum.filter(u => ctx.nbarR(ctx.posR(u)).length == k)
-    // δ̄(w, R_keep) per left vertex = |nbarL(w) ∩ Γ(v)| (≤ k entries each).
-    val dbarKeep = new Array[Int](l.length)
-    var i = 0
-    while (i < l.length) {
-      val nb = ctx.nbarL(i)
-      var c = 0
-      var j = 0
-      while (j < nb.length) {
-        if (VertexSets.contains(adjV, nb(j))) c += 1
-        j += 1
-      }
-      dbarKeep(i) = c
-      i += 1
+    // Partition of R_enum by δ̄(u, L) (Section 4.2), in one pass: E1 below
+    // k, E2 at k.
+    val (e1, e2) = {
+      val below = new Array[Int](rEnum.length)
+      val at = new Array[Int](rEnum.length)
+      var n1 = 0
+      var n2 = 0
+      for (u <- rEnum)
+        if (ctx.nbarR(ctx.posR(u)).length < k) { below(n1) = u; n1 += 1 } else { at(n2) = u; n2 += 1 }
+      (java.util.Arrays.copyOf(below, n1), java.util.Arrays.copyOf(at, n2))
     }
+
+    /** Adds to d(w), per position w of `l`, the members of rs ⊆ R that w
+      * misses, and returns d.
+      */
+    def addMisses(d: Array[Int], rs: Array[Int]): Array[Int] = {
+      var a = 0
+      while (a < rs.length) {
+        val nw = ctx.nbarR(ctx.posR(rs(a)))
+        var b = 0
+        while (b < nw.length) { d(ctx.posL(nw(b))) += 1; b += 1 }
+        a += 1
+      }
+      d
+    }
+    // δ̄(w, R_keep) per position w of `l`.
+    val dbarKeep = addMisses(new Array[Int](l.length), rKeep)
 
     // Right-shrinking pruning (DESIGN §3). An outside vertex u of ctx's
     // table is addable to every local solution of an R'' when each of its
-    // non-neighbours in L ∪ {v} has δ̄(·, R_keep ∪ R'') < k; the traversal's
-    // right-shrinking test rejects them all, so the R'' is skipped. Read
+    // non-neighbours in L ∪ {v} has δ̄(·, R_keep ∪ R'') < k; every one of
+    // them would answer admitsRight with true, so the R'' is skipped. Read
     // once the table exists, `cands` holds the entries that can do this
     // for some R'': an entry e with u ∈ Γ(v) as e, for any R''; one with
     // u ∉ Γ(v) as ~e, only for |R''| < k, because v is then a non-neighbour
@@ -226,15 +240,14 @@ object EnumAlmostSat {
     var cands: Array[Int] = null
     var nCands = 0
 
-    /** Does every non-neighbour in L of table entry e stay below k? */
-    def slack(e: Int, rpp: Array[Int]): Boolean = {
+    /** Does every non-neighbour in L of table entry e stay below k under d? */
+    def slack(e: Int, d: Array[Int]): Boolean = {
       var j = ctx.outStart(e)
-      while (j < ctx.outStart(e + 1) &&
-             dbarKeep(ctx.outNbar(j)) + VertexSets.intersectCount(ctx.nbarL(ctx.outNbar(j)), rpp) < k) j += 1
+      while (j < ctx.outStart(e + 1) && d(ctx.outNbar(j)) < k) j += 1
       j == ctx.outStart(e + 1)
     }
 
-    def killed(rpp: Array[Int]): Boolean = ctx.outIds != null && {
+    def killed(rpp: Array[Int], d: Array[Int]): Boolean = ctx.outIds != null && {
       if (cands == null) {
         cands = new Array[Int](ctx.outIds.length)
         var q = 0 // first position of adjV at or after the current entry's vertex
@@ -242,7 +255,7 @@ object EnumAlmostSat {
         while (e < ctx.outIds.length) {
           while (q < adjV.length && adjV(q) < ctx.outIds(e)) q += 1
           val adjacent = q < adjV.length && adjV(q) == ctx.outIds(e)
-          if ((adjacent || ctx.outStart(e + 1) - ctx.outStart(e) < k) && slack(e, VertexSets.empty)) {
+          if ((adjacent || ctx.outStart(e + 1) - ctx.outStart(e) < k) && slack(e, dbarKeep)) {
             cands(nCands) = if (adjacent) e else ~e
             nCands += 1
           }
@@ -253,14 +266,16 @@ object EnumAlmostSat {
       var c = 0
       while (!found && c < nCands) {
         val e = cands(c)
-        found = if (e >= 0) slack(e, rpp) else rpp.length < k && slack(~e, rpp)
+        found = if (e >= 0) slack(e, d) else rpp.length < k && slack(~e, d)
         c += 1
       }
       found
     }
 
-    /** Is (L \ lBar ∪ {v}, rKeep ∪ rpp) a local solution? O(k² log). */
-    def isLocal(rpp: Array[Int], lBar: Array[Int]): Boolean = {
+    /** Is (L \ lBar ∪ {v}, rKeep ∪ rpp) a local solution, with d =
+      * δ̄(·, R_keep ∪ rpp) on `l`? O(k² log).
+      */
+    def isLocal(rpp: Array[Int], lBar: Array[Int], d: Array[Int]): Boolean = {
       // Lemma 4.2 as a filter: with |R''| < k, every vertex of E1 \ R''
       // (and of E2 hit by lBar, handled below) would remain addable.
       if (rpp.length < k && !VertexSets.subsetOf(e1, rpp)) return false
@@ -274,22 +289,10 @@ object EnumAlmostSat {
       // (a) w ∈ L' gaining disconnections from R'': δ̄(w, R') ≤ k.
       a = 0
       while (a < rpp.length) {
-        val p = ctx.posR(rpp(a))
-        val nw = ctx.nbarR(p)
+        val nw = ctx.nbarR(ctx.posR(rpp(a)))
         var b = 0
         while (b < nw.length) {
-          val w = nw(b)
-          if (!VertexSets.contains(lBar, w)) {
-            // count how many u ∈ rpp disconnect w
-            var cnt = 0
-            var c2 = 0
-            while (c2 < rpp.length) {
-              val p2 = ctx.posR(rpp(c2))
-              if (VertexSets.contains(ctx.nbarR(p2), w)) cnt += 1
-              c2 += 1
-            }
-            if (dbarKeep(ctx.posL(w)) + cnt > k) return false
-          }
+          if (d(ctx.posL(nw(b))) > k && !VertexSets.contains(lBar, nw(b))) return false
           b += 1
         }
         a += 1
@@ -297,11 +300,8 @@ object EnumAlmostSat {
       // (c) removed left vertices must not be re-addable.
       a = 0
       while (a < lBar.length) {
-        val w = lBar(a)
-        val pw = ctx.posL(w)
-        // δ̄(w, R') = δ̄(w, R_keep) + |nbarL(w) ∩ rpp|
-        val dW = dbarKeep(pw) + VertexSets.intersectCount(ctx.nbarL(pw), rpp)
-        if (dW <= k) {
+        val pw = ctx.posL(lBar(a))
+        if (d(pw) <= k) {
           // w is re-addable unless some u ∈ Γ̄(w) ∩ R' is saturated.
           var blocked = false
           val nb = ctx.nbarL(pw)
@@ -341,29 +341,55 @@ object EnumAlmostSat {
       true
     }
 
+    /** The right-shrinking test on the local solution (lFull, rPrime) =
+      * (L \ lBar ∪ {v}, R_keep ∪ rpp), with d as in isLocal. Its saturated
+      * left vertices are the w ∈ L \ lBar with d(w) = k, and v when
+      * |R''| = k: v misses exactly R''.
+      */
+    def admitsRight(lFull: Array[Int], rPrime: Array[Int], rpp: Array[Int], lBar: Array[Int], d: Array[Int]) =
+      rPrime.length < g.nR && {
+        val sat = new Array[Int](lFull.length)
+        var n = 0
+        var j = 0 // next member of lBar
+        var p = 0
+        while (p < l.length) {
+          if (j < lBar.length && lBar(j) == l(p)) j += 1
+          else if (d(p) == k) { sat(n) = l(p); n += 1 }
+          p += 1
+        }
+        if (rpp.length == k) { sat(n) = v; n += 1 }
+        val admits = Biplex.searchAddableRight(g, k, lFull, rPrime, java.util.Arrays.copyOf(sat, n))
+        if (admits) ctx.buildOutside(g, k)
+        admits
+      }
+
     /** The local solutions of one R'' choice, smallest L̄ first. */
-    def localsOf(rpp: Array[Int]): Iterator[Solution] = {
-      // Violators: members of R'' already at δ̄(u,L) = k (Lemma 4.3).
-      val r2pp = rpp.filter(u => ctx.nbarR(ctx.posR(u)).length == k)
-      // L_remo = left vertices disconnecting ≥ 1 violator (≤ k² ids).
+    def localsOf(rpp: Array[Int], d: Array[Int]): Iterator[Local] = {
+      // Violators: members of R'' already at δ̄(u, L) = k (Lemma 4.3), and
+      // L_remo, the left vertices disconnecting ≥ 1 violator (≤ k² ids).
+      var violators = 0
       var lRemo = VertexSets.empty
       var a = 0
-      while (a < r2pp.length) {
-        lRemo = VertexSets.union(lRemo, ctx.nbarR(ctx.posR(r2pp(a))))
+      while (a < rpp.length) {
+        val nw = ctx.nbarR(ctx.posR(rpp(a)))
+        if (nw.length == k) { violators += 1; lRemo = VertexSets.union(lRemo, nw) }
         a += 1
       }
       val successes = mutable.ArrayBuffer.empty[Array[Int]]
       // R' = R_keep ∪ R'', the right side every local solution of this R''
       // shares.
       val rPrime = VertexSets.union(rKeep, rpp)
-      (0 to math.min(r2pp.length, lRemo.length)).iterator
+      (0 to math.min(violators, lRemo.length)).iterator
         .flatMap(s => combinations(lRemo, s))
         .filter { lBar =>
-          val ok = !(pruneL && successes.exists(VertexSets.subsetOf(_, lBar))) && isLocal(rpp, lBar)
+          val ok = !(pruneL && successes.exists(VertexSets.subsetOf(_, lBar))) && isLocal(rpp, lBar, d)
           if (ok) successes += lBar
           ok
         }
-        .map(lBar => Solution(localLeft(l, lBar, v), rPrime))
+        .map { lBar =>
+          val lFull = localLeft(l, lBar, v)
+          new Local(lFull, rPrime, () => admitsRight(lFull, rPrime, rpp, lBar, d))
+        }
     }
 
     // R'' enumeration, ascending size then lexicographic.
@@ -375,8 +401,13 @@ object EnumAlmostSat {
         else Iterator.empty
       }
       .takeWhile(_ => System.nanoTime < deadlineNanos)
-      .filter(rpp => rKeep.length + rpp.length >= minRight && !killed(rpp))
-      .flatMap(localsOf)
+      .filter(rpp => rKeep.length + rpp.length >= minRight)
+      .flatMap { rpp =>
+        // δ̄(w, R_keep ∪ R'') per position w of `l`: every check of this R''
+        // reads it.
+        val d = addMisses(dbarKeep.clone(), rpp)
+        if (killed(rpp, d)) Iterator.empty else localsOf(rpp, d)
+      }
   }
 
   // ---------------------------------------------------------------------
@@ -391,18 +422,21 @@ object EnumAlmostSat {
       v: Int,
       minRight: Int,
       deadlineNanos: Long,
-  ): Iterator[Solution] = {
+  ): Iterator[Local] = {
     val ls = VertexSets.add(l, v)
     val (inflated, back) = Inflation.inflateSub(g, ls, r)
     val vNew = java.util.Arrays.binarySearch(ls, v)
-    val out = mutable.ArrayBuffer.empty[Solution]
+    val out = mutable.ArrayBuffer.empty[Local]
     KPlexEnum.enumerate(
       inflated,
       k + 1,
       seed = Array(vNew),
       sink = { s =>
         val rPart = s.filter(_ >= ls.length).map(back)
-        if (rPart.length >= minRight) out += Solution(s.filter(_ < ls.length).map(back), rPart)
+        if (rPart.length >= minRight) {
+          val lPart = s.filter(_ < ls.length).map(back)
+          out += new Local(lPart, rPart, () => Biplex.existsAddableRight(g, k, lPart, rPart))
+        }
         true
       },
       deadlineNanos = deadlineNanos,

@@ -231,7 +231,7 @@ object ReverseSearch {
       val entryMarked: Int = nMarked
       // Disconnection structures of (l, r), shared by every seed's
       // EnumAlmostSat call (one ThreeStep = one solution).
-      lazy val ctx: EnumAlmostSat.SolutionCtx = EnumAlmostSat.buildCtx(g, l, r)
+      private lazy val ctx: EnumAlmostSat.SolutionCtx = EnumAlmostSat.buildCtx(g, l, r)
       // Left-side seeds (all frameworks), ascending, so membership in l and
       // the counts below are read by merge pointers. One count over R's
       // adjacency lists gives |Γ(v) ∩ R| for the θ pruning and, in
@@ -250,7 +250,7 @@ object ReverseSearch {
       private var u = if (cfg.leftAnchored || onlySeed >= 0) g.nR else 0
       /** The seed `locals` belongs to: a left id, or -1 for a right seed. */
       var v: Int = -1
-      var locals: Iterator[Solution] = Iterator.empty
+      var locals: Iterator[EnumAlmostSat.Local] = Iterator.empty
 
       private def common(v: Int): Int = {
         while (p < near.ids.length && near.ids(p) < v) p += 1
@@ -319,18 +319,13 @@ object ReverseSearch {
     }
 
     /** The link from frame f toward its local solution loc. */
-    def link(f: Frame, loc: Solution): Unit =
+    def link(f: Frame, loc: EnumAlmostSat.Local): Unit =
       // A right seed's local solution is extended on the flipped graph; no
       // right-shrinking or exclusion test applies to it (bTraversal only).
       if (f.v < 0) follow(Biplex.extend(g.flipped, k, loc.left, loc.right, leftOnly = false).flip)
       // Right-shrinking traversal (Algorithm 2 line 7): drop local
-      // solutions that still admit a vertex from the right universe. From
-      // a frame's first such drop on, its EnumAlmostSat calls skip the R''
-      // choices whose every local solution this test would drop.
-      else if (cfg.rightShrinking && admitsRightVertex(g, k, f.ctx, f.v, loc.left, loc.right)) {
-        rightRejected += 1
-        if (cfg.eas != EnumAlmostSat.Inflated) f.ctx.buildOutside(g, k)
-      }
+      // solutions that still admit a vertex from the right universe.
+      else if (cfg.rightShrinking && loc.admitsRight) rightRejected += 1
       else if (!cfg.exclusion) follow(Biplex.extend(g, k, loc.left, loc.right, leftOnly = cfg.rightShrinking))
       // loc avoids the exclusion set: f.v is not excluded (seed loop), and
       // f's left side avoids every vertex excluded at f — those inherited
@@ -378,45 +373,5 @@ object ReverseSearch {
     var c = 0
     val stats = run(g, k, cfg, s => { out += s; c += 1; c < n }, deadlineNanos)
     (out.result(), stats)
-  }
-
-  /** Right-shrinking test (Algorithm 2 line 7) for a local solution
-    * (lFull = L' ∪ {v}, rPrime) of the node whose context is `ctx`:
-    * does some u ∈ R_universe \ rPrime extend it to a k-biplex?
-    * Same predicate as [[Biplex.existsAddableRight]], but the saturated
-    * members of lFull are read from ctx's ≤k-sized non-neighbour lists
-    * instead of recomputed, which keeps this O(|L'|·k·log + Σdeg·log).
-    */
-  private[core] def admitsRightVertex(
-      g: BipartiteGraph,
-      k: Int,
-      ctx: EnumAlmostSat.SolutionCtx,
-      v: Int,
-      lFull: Array[Int],
-      rPrime: Array[Int],
-  ): Boolean = {
-    if (rPrime.length == g.nR) return false
-    // Saturated members of lFull (δ̄(w, R') == k), ascending as lFull is.
-    val sat = new Array[Int](lFull.length)
-    var nSat = 0
-    var i = 0
-    while (i < lFull.length) {
-      val w = lFull(i)
-      val d =
-        if (w == v) rPrime.length - VertexSets.intersectCount(g.adjL(v), rPrime)
-        else {
-          val nb = ctx.nbarL(ctx.posL(w))
-          var c = 0
-          var j = 0
-          while (j < nb.length) {
-            if (VertexSets.contains(rPrime, nb(j))) c += 1
-            j += 1
-          }
-          c
-        }
-      if (d == k) { sat(nSat) = w; nSat += 1 }
-      i += 1
-    }
-    Biplex.searchAddableRight(g, k, lFull, rPrime, java.util.Arrays.copyOf(sat, nSat))
   }
 }

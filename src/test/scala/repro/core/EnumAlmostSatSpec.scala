@@ -77,48 +77,62 @@ class EnumAlmostSatSpec extends SparkSpec {
     }
   }
 
-  for (k <- 1 to 2) {
-    test(s"admitsRightVertex agrees with Biplex.existsAddableRight on local solutions (k=$k)") {
-      var checked = 0
-      for ((g, l, r, v, seed) <- cases(k, 3900 + k)) {
-        val ctx = EnumAlmostSat.buildCtx(g, l, r)
-        EnumAlmostSat.run(g, k, l, r, v, EnumAlmostSat.L20R20, (lf, rp) => {
-          assert(ReverseSearch.admitsRightVertex(g, k, ctx, v, lf, rp) ==
-            Biplex.existsAddableRight(g, k, lf, rp), s"seed $seed v=$v L'=${lf.toSeq} R'=${rp.toSeq}")
-          checked += 1
-          true
-        }, ctx = ctx)
+  /** (graph seed, MBP, outside seed) triples: the MBPs come from
+    * iTraversal, as graphs large enough for an outside vertex to miss k of
+    * |L| > k vertices are beyond brute force at k = 3.
+    */
+  private def mbpSeeds(k: Int, seed: Int): Seq[(Long, BipartiteGraph, Solution, Seq[Int])] =
+    for ((g, gseed) <- TestGraphs.smallBatch(60, maxSide = 9, seed = seed);
+         h <- Sinks.collect(ReverseSearch.run(g, k, TraversalConfig.iTraversal, _))._1.toSeq.sortBy(_.toString))
+    yield (gseed, g, h, (0 until g.nL).filter(v => !VertexSets.contains(h.left, v)))
+
+  for (k <- 0 to 3) {
+    test(s"every local solution's right-shrinking answer agrees with Biplex.existsAddableRight (k=$k)") {
+      // One context per (MBP, variant), shared by its seeds as in the
+      // traversal: the seeds before the first answer of true run without
+      // the outside table, the later ones with it.
+      var (withTable, withoutTable) = (0, 0)
+      for ((seed, g, h, seeds) <- mbpSeeds(k, 3900 + k); variant <- EnumAlmostSat.allVariants) {
+        val ctx = EnumAlmostSat.buildCtx(g, h.left, h.right)
+        for (v <- seeds; loc <- EnumAlmostSat.locals(g, k, h.left, h.right, v, variant, ctx = ctx)) {
+          if (ctx.outIds == null) withoutTable += 1 else withTable += 1
+          assert(loc.admitsRight == Biplex.existsAddableRight(g, k, loc.left, loc.right),
+            s"seed $seed $variant v=$v H=$h L'=${loc.left.toSeq} R'=${loc.right.toSeq}")
+        }
       }
-      assert(checked > 0)
+      info(s"checked $withoutTable local solutions without the table, $withTable with it")
+      // At k = 0 no answer is true, so no table is built: L̄ is empty, and a
+      // right vertex outside R that sees all of L ∪ {v} would extend H.
+      assert(withoutTable > 0 && (k == 0 || withTable > 0))
     }
   }
 
   for (k <- 0 to 3) {
     test(s"with the outside table built, only local solutions the right-shrinking test rejects go (k=$k)") {
-      // (MBP, outside seed) pairs, every refined variant; the MBPs come
-      // from iTraversal, as graphs large enough for an outside vertex to
-      // miss k of |L| > k vertices are beyond brute force at k = 3. The
-      // table drops whole R'' choices; what it drops must be rejected by
-      // admitsRightVertex, and what it keeps must be the unpruned
-      // iterator's output in its order.
+      // (MBP, outside seed) pairs, every refined variant. The table drops
+      // whole R'' choices; what it drops must admit a right vertex, and
+      // what it keeps must be the unpruned iterator's output in its order.
       var dropped = 0
-      for ((g, seed) <- TestGraphs.smallBatch(60, maxSide = 9, seed = 3950 + k);
-           h <- Sinks.collect(ReverseSearch.run(g, k, TraversalConfig.iTraversal, _))._1.toSeq.sortBy(_.toString);
-           v <- 0 until g.nL if !VertexSets.contains(h.left, v);
+      for ((seed, g, h, seeds) <- mbpSeeds(k, 3950 + k);
            variant <- EnumAlmostSat.allVariants if variant != EnumAlmostSat.Inflated) {
-        val plain = EnumAlmostSat.locals(g, k, h.left, h.right, v, variant).toVector
         val ctx = EnumAlmostSat.buildCtx(g, h.left, h.right)
-        ctx.buildOutside(g, k)
-        val pruned = EnumAlmostSat.locals(g, k, h.left, h.right, v, variant, ctx = ctx).toVector
-        def rejected(s: Solution) = ReverseSearch.admitsRightVertex(g, k, ctx, v, s.left, s.right)
-        val clue = s"seed $seed $variant v=$v H=$h"
-        assert(plain.filter(pruned.toSet) == pruned, s"$clue: kept ${pruned.filterNot(plain.toSet)}")
-        assert(plain.filterNot(pruned.toSet).forall(rejected), s"$clue: dropped a local solution with no addable right vertex")
-        dropped += plain.length - pruned.length
+        // Build the table through a rejection: pull local solutions on ctx
+        // until one admits a right vertex.
+        seeds.iterator.flatMap(v => EnumAlmostSat.locals(g, k, h.left, h.right, v, variant, ctx = ctx)).exists(_.admitsRight)
+        for (v <- seeds) {
+          def solutions(c: EnumAlmostSat.SolutionCtx) =
+            EnumAlmostSat.locals(g, k, h.left, h.right, v, variant, ctx = c).map(s => Solution(s.left, s.right)).toVector
+          val plain = solutions(null)
+          val pruned = solutions(ctx)
+          val clue = s"seed $seed $variant v=$v H=$h"
+          assert(plain.filter(pruned.toSet) == pruned, s"$clue: kept ${pruned.filterNot(plain.toSet)}")
+          assert(plain.filterNot(pruned.toSet).forall(s => Biplex.existsAddableRight(g, k, s.left, s.right)),
+            s"$clue: dropped a local solution with no addable right vertex")
+          dropped += plain.length - pruned.length
+        }
       }
       info(s"dropped $dropped local solutions")
-      // At k = 0 the table of a maximal solution is empty: a right vertex
-      // outside R that sees all of L would extend it.
+      // At k = 0 no local solution is rejected, so no table is built.
       if (k == 0) assert(dropped == 0) else assert(dropped > 0, "the table never dropped an R''")
     }
   }

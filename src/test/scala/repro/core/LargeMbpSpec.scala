@@ -47,13 +47,16 @@ class LargeMbpSpec extends SparkSpec {
     // Recorded before the counting kernel replaced the sort-based count of
     // two-hop seeds and candidates and the θ seed test's intersection; a
     // change that moves them changes the traversal, not just its speed.
+    // (locals, rightRejected) were recorded with the R'' skip of the
+    // right-shrinking test, which moves them but not the other three.
     def counts(g: repro.graph.BipartiteGraph, thetaL: Int, thetaR: Int, firstN: Int) = {
       var n = 0
       val st = LargeMbp.enumerate(g, 1, thetaL, thetaR, _ => { n += 1; n < firstN })
-      (st.links, st.easCalls, st.solutions)
+      (st.links, st.easCalls, st.solutions, st.locals, st.rightRejected)
     }
-    assert(counts(repro.gen.BipartiteGen.er(20, 20, 100, seed = 1), 3, 4, Int.MaxValue) == ((1472L, 920L, 280L)))
-    assert(counts(repro.gen.FraudGen.generate(seed = 1).graph, 4, 7, 1000) == ((2662L, 2257L, 1000L)))
+    assert(counts(repro.gen.BipartiteGen.er(20, 20, 100, seed = 1), 3, 4, Int.MaxValue) ==
+      ((1472L, 920L, 280L, 2582L, 1110L)))
+    assert(counts(repro.gen.FraudGen.generate(seed = 1).graph, 4, 7, 1000) == ((2662L, 2257L, 1000L, 4530L, 1868L)))
   }
 
   test("LargeMbp keeps the given left order, unlike the iTraversal preset") {

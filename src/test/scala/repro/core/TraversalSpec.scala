@@ -169,12 +169,17 @@ class TraversalSpec extends SparkSpec {
 
   test("beyond brute-force size: degree-ordered iTraversal's links and solutions are pinned (k=1,2)") {
     // (links, easCalls, solutions), against (34 394, 20 295, 3 187) and
-    // (166 813, 28 263, 9 260) in the given order: the same MBPs.
+    // (166 813, 28 263, 9 260) in the given order: the same MBPs. Then
+    // (locals, rightRejected), recorded with the R'' skip of the
+    // right-shrinking test: a skip that prunes less pulls more local
+    // solutions and rejects more of them, with the same links.
     val pinned = Map(1 -> (19713L, 15719L, 3187L), 2 -> (27226L, 22358L, 9260L))
+    val pulled = Map(1 -> (33197L, 13484L), 2 -> (75367L, 48141L))
     for ((k, g, (got, _)) <- beyondBruteForce) {
       val (deg, stats) = collect(ReverseSearch.run(g, k, TraversalConfig.iTraversal, _))
       assert(deg == got, s"k=$k: MBPs differ")
       assert((stats.links, stats.easCalls, stats.solutions) == pinned(k), s"k=$k")
+      assert((stats.locals, stats.rightRejected) == pulled(k), s"k=$k")
     }
   }
 
