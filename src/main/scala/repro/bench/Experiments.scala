@@ -224,8 +224,9 @@ object Experiments {
     val variants = EnumAlmostSat.allVariants
     val rows = ks.map { k =>
       // The first MBPs in the given left order, as the table holds them.
-      val (mbps, _) = ReverseSearch.collectFirst(g, k, TraversalConfig.iTraversal.copy(degreeOrder = false), count,
-        Harness.deadline(Harness.budgetMs * 4))
+      val mbps = mutable.ArrayBuffer.empty[Solution]
+      ReverseSearch.run(g, k, TraversalConfig.iTraversal.copy(degreeOrder = false),
+        s => { mbps += s; mbps.length < count }, Harness.deadline(Harness.budgetMs * 4))
       val rnd = new Random(31 * k + dataset.hashCode)
       val cases = mbps.flatMap { s =>
         val outside = (0 until g.nL).filter(v => !VertexSets.contains(s.left, v))

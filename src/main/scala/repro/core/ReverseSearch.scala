@@ -124,16 +124,17 @@ object ReverseSearch {
     * `deadlineNanos` (absolute, System.nanoTime scale) aborts long runs —
     * the paper's INF budget.
     *
-    * `rootSeed` ≥ 0 runs only the root subtree of that left seed — the
-    * distributed runner's unit of work. The root marks the seeds before it
-    * in the run's order, so its subtree starts from the exclusion set the
-    * full run has there, and does not report H0. A `rootSeed` inside the
-    * left side of H0 (see [[initial]]) reports nothing.
+    * `parts` > 1 splits the root: run `part` walks only the contiguous
+    * block [part·n/parts, (part+1)·n/parts) of the root's n left seed
+    * positions, in the run's order — the distributed runner's unit of
+    * work. The root marks the seeds before the block, so the block starts
+    * from the exclusion set the full run has there. Only part 0 reports
+    * H0, and bTraversal's root right seeds go to the last part, so the
+    * union over the parts is the full run's solution set.
     *
     * With `cfg.degreeOrder` the DFS runs on g with its left side relabelled
-    * by [[BipartiteGraph.leftByDegree]]; `rootSeed` is mapped into the new
-    * ids and every solution is mapped back before the sink. All ids a
-    * caller passes or receives are g's.
+    * by [[BipartiteGraph.leftByDegree]], and every solution is mapped back
+    * before the sink: all ids a caller receives are g's.
     *
     * The DFS keeps its path in an explicit stack of frames, so the run and
     * its sink stay on the caller's thread whatever the depth.
@@ -144,36 +145,21 @@ object ReverseSearch {
       cfg: TraversalConfig,
       sink: Solution => Boolean,
       deadlineNanos: Long = Long.MaxValue,
-      rootSeed: Int = -1,
+      part: Int = 0,
+      parts: Int = 1,
   ): EnumStats = {
-    require(rootSeed < g.nL, s"rootSeed $rootSeed is not a left id of $g")
+    require(0 <= part && part < parts, s"part $part is not one of $parts")
     val order = new LeftOrder(g, cfg)
-    traverse(order.graph, k, cfg, s => sink(order.toGiven(s)), deadlineNanos, order.toRun(rootSeed))
+    traverse(order.graph, k, cfg, s => sink(order.toGiven(s)), deadlineNanos, part, parts)
   }
 
-  /** The solution a run of cfg on g starts from (H0), in g's ids. Under
-    * `cfg.degreeOrder` it is built on the relabelled graph, so it can
-    * differ from H0 in the given order. A `rootSeed` run reports nothing
-    * for a seed inside its left side.
-    */
-  def initial(g: BipartiteGraph, k: Int, cfg: TraversalConfig): Solution = {
-    val order = new LeftOrder(g, cfg)
-    order.toGiven(start(order.graph, k, cfg))
-  }
-
-  private def start(g: BipartiteGraph, k: Int, cfg: TraversalConfig): Solution =
-    if (cfg.leftAnchored) Biplex.initialLeftAnchored(g, k)
-    else Biplex.initialArbitrary(g, k)
-
-  /** The graph a run of cfg on g traverses, and the maps between its left
-    * ids and g's. `back(i)` is g's id of the run's left vertex i; it is
-    * null when the run keeps g's order.
+  /** The graph a run of cfg on g traverses, and the map back to g's left
+    * ids. `back(i)` is g's id of the run's left vertex i; it is null when
+    * the run keeps g's order.
     */
   private final class LeftOrder(g: BipartiteGraph, cfg: TraversalConfig) {
     private val back = if (cfg.degreeOrder) g.leftByDegree else null
     val graph: BipartiteGraph = if (back == null) g else g.relabelLeft(back)
-
-    def toRun(v: Int): Int = if (back == null || v < 0) v else back.indexOf(v)
 
     def toGiven(s: Solution): Solution =
       if (back == null) s
@@ -190,7 +176,8 @@ object ReverseSearch {
       cfg: TraversalConfig,
       sink: Solution => Boolean,
       deadlineNanos: Long,
-      rootSeed: Int,
+      part: Int,
+      parts: Int,
   ): EnumStats = {
     var solutions = 0L
     var links = 0L
@@ -222,12 +209,13 @@ object ReverseSearch {
     }
 
     /** One solution (l, r) on the DFS path and how far its (i)ThreeStep
-      * procedure has got under the current exclusion set. `onlySeed` ≥ 0
-      * (the root of a `rootSeed` run) marks the seeds before it without
-      * processing them, processes it, and stops; other frames take every
-      * seed.
+      * procedure has got under the current exclusion set. The frame
+      * processes block `part` of `parts` of its left seed positions and
+      * marks the seeds before the block without processing them; only the
+      * last block takes the right seeds. Every frame but a split root
+      * takes the one block of all its seeds.
       */
-    final class Frame(l: Array[Int], r: Array[Int], onlySeed: Int) {
+    final class Frame(l: Array[Int], r: Array[Int], part: Int, parts: Int) {
       val entryMarked: Int = nMarked
       // Disconnection structures of (l, r), shared by every seed's
       // EnumAlmostSat call (one ThreeStep = one solution).
@@ -242,12 +230,14 @@ object ReverseSearch {
         else null
       private val twoHop = cfg.twoHopSeeds && r.length < g.nR
       private val nSeeds = if (twoHop) near.ids.length else g.nL
+      private val from = (part.toLong * nSeeds / parts).toInt
+      private val until = ((part + 1).toLong * nSeeds / parts).toInt
       private var i = 0 // next left seed index
       private var p = 0 // first position of near.ids at or after the current seed
       private var q = 0 // first position of l at or after the current seed
       // Next right seed (bTraversal only; pruned by left-anchored traversal,
-      // and outside a root-seed run's one seed).
-      private var u = if (cfg.leftAnchored || onlySeed >= 0) g.nR else 0
+      // and left to the last block of a split root).
+      private var u = if (cfg.leftAnchored || part < parts - 1) g.nR else 0
       /** The seed `locals` belongs to: a left id, or -1 for a right seed. */
       var v: Int = -1
       var locals: Iterator[EnumAlmostSat.Local] = Iterator.empty
@@ -268,16 +258,17 @@ object ReverseSearch {
       def nextSeed(): Boolean = {
         if (cfg.exclusion && v >= 0) mark(v)
         v = -1
-        while (i < nSeeds && (onlySeed < 0 || seed(i) <= onlySeed)) {
+        while (i < until) {
+          val before = i < from
           val w = seed(i)
           i += 1
           if (!inL(w)) {
-            // Before onlySeed, the full run would have processed w. A seed
+            // Before the block, the full run would have processed w. A seed
             // already in the exclusion set forms no almost-satisfying
             // graph: every local solution contains w, so every one would
             // be pruned. Then almost-satisfying-graph pruning (Section 5).
             // A skipped seed still enters the exclusion set.
-            val skip = w < onlySeed || (cfg.exclusion && excluded(w)) ||
+            val skip = before || (cfg.exclusion && excluded(w)) ||
               (cfg.theta.isDefined && common(w) + k < thetaR)
             if (!skip) {
               easCalls += 1
@@ -305,10 +296,10 @@ object ReverseSearch {
 
     val stack = mutable.ArrayBuffer.empty[Frame]
     var maxDepth = 0
-    def push(s: Solution, onlySeed: Int = -1): Unit =
+    def push(s: Solution, part: Int = 0, parts: Int = 1): Unit =
       // Solution pruning and left-side pruning (Section 5).
       if (s.right.length >= thetaR && !(cfg.exclusion && g.nL - nMarked < thetaL)) {
-        stack += new Frame(s.left, s.right, onlySeed)
+        stack += new Frame(s.left, s.right, part, parts)
         maxDepth = math.max(maxDepth, stack.length)
       }
 
@@ -342,9 +333,9 @@ object ReverseSearch {
     // deadline is read after the iterator moves, because a seed's local
     // solutions can end at the deadline: then the run is aborted even when
     // that seed was the last one left.
-    val h0 = start(g, k, cfg)
+    val h0 = if (cfg.leftAnchored) Biplex.initialLeftAnchored(g, k) else Biplex.initialArbitrary(g, k)
     visited += h0
-    if (rootSeed >= 0 || report(h0)) push(h0, rootSeed)
+    if (part > 0 || report(h0)) push(h0, part, parts)
     while (stack.nonEmpty && !sinkStopped && !timedOut) {
       val f = stack.last
       val more = f.locals.hasNext
@@ -359,19 +350,5 @@ object ReverseSearch {
     // A run stops early only when the sink or the deadline says so, and the
     // sink's stop is not an abort.
     EnumStats(solutions, links, easCalls, aborted = timedOut, maxDepth, pulled, rightRejected)
-  }
-
-  /** Convenience: collect the first n solutions. */
-  def collectFirst(
-      g: BipartiteGraph,
-      k: Int,
-      cfg: TraversalConfig,
-      n: Int,
-      deadlineNanos: Long = Long.MaxValue,
-  ): (Vector[Solution], EnumStats) = {
-    val out = Vector.newBuilder[Solution]
-    var c = 0
-    val stats = run(g, k, cfg, s => { out += s; c += 1; c < n }, deadlineNanos)
-    (out.result(), stats)
   }
 }

@@ -20,6 +20,21 @@ class TraversalSpec extends SparkSpec {
     */
   private val givenOrder = TraversalConfig.iTraversal.copy(degreeOrder = false)
 
+  /** Each of the `parts` runs of cfg that split the root: the solutions it
+    * reported, in order, and its stats.
+    */
+  private def split(g: BipartiteGraph, k: Int, cfg: TraversalConfig, parts: Int): Seq[(Seq[Solution], EnumStats)] =
+    (0 until parts).map { p =>
+      val out = scala.collection.mutable.ArrayBuffer.empty[Solution]
+      val st = ReverseSearch.run(g, k, cfg, s => { out += s; true }, part = p, parts = parts)
+      (out.toSeq, st)
+    }
+
+  /** The union of a split's solutions and its summed (links, easCalls, solutions). */
+  private def union(runs: Seq[(Seq[Solution], EnumStats)]): (Set[Solution], (Long, Long, Long)) =
+    (runs.flatMap(_._1).toSet,
+     (runs.map(_._2.links).sum, runs.map(_._2.easCalls).sum, runs.map(_._2.solutions).sum))
+
   private val configs: Seq[(String, Int => TraversalConfig)] = Seq(
     "bTraversal(Inflated)" -> (_ => TraversalConfig.bTraversal),
     "bTraversal(L20R20)"   -> (_ => TraversalConfig.bTraversal.copy(eas = EnumAlmostSat.L20R20)),
@@ -56,22 +71,19 @@ class TraversalSpec extends SparkSpec {
   test("H0 depends on the left order; the root-seed runs start from the run's own H0 (k=2)") {
     // Right side {0, 1, 2}; left 0 and 1 see {1, 2}, left 2 sees {2}. The
     // given order's L0 is {0, 1}; in degree order left 2 comes first and
-    // L0 is {0, 2}.
+    // L0 is {0, 2}. A run reports its H0 first. With one part per seed,
+    // degree order puts left 2 first, inside L0, and left 1 in the last.
     val g = BipartiteGraph.fromEdges(3, 3, Seq((0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
     val exp = BruteForce.maximalKBiplexes(g, 2)
-    val h0 = ReverseSearch.initial(g, 2, TraversalConfig.iTraversal)
+    val h0 = split(g, 2, TraversalConfig.iTraversal, 1).head._1.head
     assert(h0 == Solution.of(Seq(0, 2), 0 to 2))
-    assert(ReverseSearch.initial(g, 2, givenOrder) == Solution.of(Seq(0, 1), 0 to 2))
-    assert(ReverseSearch.initial(g, 2, givenOrder) == Biplex.initialLeftAnchored(g, 2))
+    assert(split(g, 2, givenOrder, 1).head._1.head == Solution.of(Seq(0, 1), 0 to 2))
+    assert(Biplex.initialLeftAnchored(g, 2) == Solution.of(Seq(0, 1), 0 to 2))
 
-    val full = scala.collection.mutable.ArrayBuffer.empty[Solution]
-    ReverseSearch.run(g, 2, TraversalConfig.iTraversal, s => { full += s; true })
-    val split = scala.collection.mutable.ArrayBuffer(h0)
-    for (v <- 0 until g.nL if !h0.left.contains(v))
-      ReverseSearch.run(g, 2, TraversalConfig.iTraversal, s => { split += s; true }, rootSeed = v)
-    for ((name, out) <- Seq("full run" -> full, "root-seed runs" -> split)) {
-      assert(out.toSet == exp, name)
-      assert(out.count(_ == h0) == 1, s"$name: H0 reported ${out.count(_ == h0)} times")
+    for (parts <- 1 to g.nL + 1) {
+      val out = split(g, 2, TraversalConfig.iTraversal, parts).flatMap(_._1)
+      assert(out.toSet == exp, s"$parts parts")
+      assert(out.count(_ == h0) == 1, s"$parts parts: H0 reported ${out.count(_ == h0)} times")
     }
   }
 
@@ -184,58 +196,71 @@ class TraversalSpec extends SparkSpec {
   }
 
   test("root-seed runs reproduce the full run's root split (k=1,2)") {
-    // Summed (links, easCalls, solutions) of the runs, one per root seed.
-    // Recorded when the root split passed each run its seed and the seeds
-    // before it as explicit arrays; the engine's own split must match them.
-    // Without the marks of the seeds before each run's seed, the sums are
-    // 4.6x (k=1) and 3.7x (k=2) larger, and the union of MBPs is the same.
-    val pinned = Map(1 -> (49358L, 29895L, 4986L), 2 -> (202540L, 37961L, 13493L))
+    // Summed (links, easCalls, solutions) of nL parts, one root seed each.
+    // Links and easCalls were recorded when the root split passed each run
+    // its seed and the seeds before it as explicit arrays; the engine's own
+    // split must match them. Solutions are one more than then: part 0
+    // reports H0, which the driver used to add. Without the marks of the
+    // seeds before each part, the sums are 4.6x (k=1) and 3.7x (k=2)
+    // larger, and the union of MBPs is the same.
+    val pinned = Map(1 -> (49358L, 29895L, 4987L), 2 -> (202540L, 37961L, 13494L))
     for ((k, g, (got, _)) <- beyondBruteForce) {
-      val h0 = Biplex.initialLeftAnchored(g, k)
-      val union = scala.collection.mutable.HashSet(h0)
-      var sums = (0L, 0L, 0L)
-      for (v <- 0 until g.nL if !h0.left.contains(v)) {
-        val st = ReverseSearch.run(g, k, givenOrder, s => { union += s; true }, rootSeed = v)
-        sums = (sums._1 + st.links, sums._2 + st.easCalls, sums._3 + st.solutions)
-      }
-      assert(union == got, s"k=$k: MBPs differ")
+      val (mbps, sums) = union(split(g, k, givenOrder, g.nL))
+      assert(mbps == got, s"k=$k: MBPs differ")
       assert(sums == pinned(k), s"k=$k")
     }
   }
 
   test("root-seed runs in degree order: their union with H0 is the full set (k=1,2)") {
-    // Summed (links, easCalls, solutions); rootSeed is a given id, and the
-    // seeds before it are those before it in degree order.
-    val pinned = Map(1 -> (30246L, 23757L, 5074L), 2 -> (28643L, 24914L, 10647L))
+    // Summed (links, easCalls, solutions) of nL parts, one root seed each
+    // in degree order; part 0 reports H0.
+    val pinned = Map(1 -> (30246L, 23757L, 5075L), 2 -> (28643L, 24914L, 10648L))
     for ((k, g, (got, _)) <- beyondBruteForce) {
-      val h0 = ReverseSearch.initial(g, k, TraversalConfig.iTraversal)
-      val union = scala.collection.mutable.HashSet(h0)
-      var sums = (0L, 0L, 0L)
-      for (v <- 0 until g.nL if !h0.left.contains(v)) {
-        val st = ReverseSearch.run(g, k, TraversalConfig.iTraversal, s => { union += s; true }, rootSeed = v)
-        sums = (sums._1 + st.links, sums._2 + st.easCalls, sums._3 + st.solutions)
-      }
-      assert(union == got, s"k=$k: MBPs differ")
+      val (mbps, sums) = union(split(g, k, TraversalConfig.iTraversal, g.nL))
+      assert(mbps == got, s"k=$k: MBPs differ")
       assert(sums == pinned(k), s"k=$k")
     }
   }
 
   test("a root seed inside H0's left side reports nothing") {
     // Left vertex 0 sees every right vertex, so it is in H0's left side;
-    // the others miss more than k of them.
+    // the others miss more than k of them. It has the highest degree, so
+    // of nL parts, one root seed each, the last holds only it.
     val g = BipartiteGraph.fromEdges(4, 4, (0 until 4).map(u => (0, u)) ++ Seq((1, 0), (2, 1), (3, 2), (3, 3)))
-    assert(ReverseSearch.initial(g, 1, TraversalConfig.iTraversal).left.contains(0))
-    var calls = 0
-    val st = ReverseSearch.run(g, 1, TraversalConfig.iTraversal, _ => { calls += 1; true }, rootSeed = 0)
-    assert(calls == 0 && st.solutions == 0 && st.easCalls == 0 && st.links == 0)
+    val runs = split(g, 1, TraversalConfig.iTraversal, g.nL)
+    assert(runs.head._1.head.left.contains(0))
+    val (out, st) = runs.last
+    assert(out.isEmpty && st.solutions == 0 && st.easCalls == 0 && st.links == 0)
   }
 
-  test("a root seed that is not a left id is rejected") {
-    // In degree order the seed is looked up among the run's ids; an id
-    // outside the graph must not turn into a full run.
+  test("a part outside 0 until parts is rejected") {
     val g = TestGraphs.random(4, 4, 0.5, 911)
-    for (cfg <- Seq(TraversalConfig.iTraversal, givenOrder))
-      intercept[IllegalArgumentException](ReverseSearch.run(g, 1, cfg, _ => true, rootSeed = g.nL))
+    for (cfg <- Seq(TraversalConfig.iTraversal, givenOrder); (part, parts) <- Seq((-1, 2), (2, 2), (0, 0), (1, 1)))
+      intercept[IllegalArgumentException](ReverseSearch.run(g, 1, cfg, _ => true, part = part, parts = parts))
+  }
+
+  test("the union over parts is exact at every technique level, in both orders (k=0..3)") {
+    // bTraversal's root right seeds go to the last part; the left seeds
+    // before a part's block enter its exclusion set.
+    val levels = Seq(
+      "bTraversal(Inflated)" -> TraversalConfig.bTraversal,
+      "bTraversal(L20R20)"   -> TraversalConfig.bTraversal.copy(eas = EnumAlmostSat.L20R20),
+    ) ++ repro.bench.Experiments.variantNames.tail
+    val cfgs = levels.flatMap { case (name, cfg) =>
+      Seq(s"$name(given order)" -> cfg.copy(degreeOrder = false), s"$name(degree order)" -> cfg.copy(degreeOrder = true))
+    }
+    for (k <- 0 to 3; (g, seed) <- TestGraphs.smallBatch(12, maxSide = 6, seed = 4800 + k)) {
+      val exp = BruteForce.maximalKBiplexes(g, k)
+      for ((name, cfg) <- cfgs; parts <- Seq(1, 2, 3, 4, g.nL, g.nL + 3)) {
+        val runs = split(g, k, cfg, parts)
+        assert(union(runs)._1 == exp, s"$name seed $seed k=$k, $parts parts")
+        for (((out, _), p) <- runs.zipWithIndex)
+          assert(out.size == out.toSet.size, s"$name seed $seed k=$k: part $p of $parts reports an MBP twice")
+      }
+    }
+    for ((k, g, (got, _)) <- beyondBruteForce; cfg <- Seq(givenOrder, TraversalConfig.iTraversal);
+         parts <- Seq(1, 2, 3, 4, g.nL, g.nL + 3))
+      assert(union(split(g, k, cfg, parts))._1 == got, s"ER k=$k ${cfg.degreeOrder}, $parts parts")
   }
 
   test("link counts shrink monotonically across the technique stack") {
@@ -311,19 +336,18 @@ class TraversalSpec extends SparkSpec {
   }
 
   test("budget: a run its deadline cuts reports aborted; one that is not cut is complete") {
-    // Deadlines spread over the run, for the full run and for the root-seed
-    // runs, whose root has one seed: a deadline that ends a seed's local
+    // Deadlines spread over the run, for the full run and for nL parts,
+    // whose root has one seed each: a deadline that ends a seed's local
     // solutions after the DFS has nothing else left to do must still abort.
     // A run that reports no abort must match the uncut run's counts too,
     // because a cut enumeration can lose links without losing an MBP.
     val g = BipartiteGen.er(16, 16, 80, seed = 2)
     val cfg = givenOrder
-    val h0 = ReverseSearch.initial(g, 1, cfg)
-    val runs = (-1 +: (0 until g.nL).filter(v => !h0.left.contains(v)))
-      .map(v => v -> collect(ReverseSearch.run(g, 1, cfg, _, rootSeed = v)))
-    for (budgetUs <- Seq(50, 200, 1000, 5000, 20000); (v, exp) <- runs) {
-      val (cut, st) = collect(ReverseSearch.run(g, 1, cfg, _, System.nanoTime + budgetUs * 1000L, v))
-      assert(st.aborted || (cut, st) == exp, s"root seed $v, $budgetUs us")
+    val runs = ((0, 1) +: (0 until g.nL).map(p => (p, g.nL)))
+      .map { case (p, n) => (p, n) -> collect(ReverseSearch.run(g, 1, cfg, _, part = p, parts = n)) }
+    for (budgetUs <- Seq(50, 200, 1000, 5000, 20000); ((p, n), exp) <- runs) {
+      val (cut, st) = collect(ReverseSearch.run(g, 1, cfg, _, System.nanoTime + budgetUs * 1000L, p, n))
+      assert(st.aborted || (cut, st) == exp, s"part $p of $n, $budgetUs us")
     }
   }
 
@@ -331,7 +355,8 @@ class TraversalSpec extends SparkSpec {
     val g = TestGraphs.random(8, 8, 0.45, 909)
     val all = collect(ReverseSearch.run(g, 1, TraversalConfig.iTraversal, _))._1
     val n = math.min(3, all.size)
-    val (first, _) = ReverseSearch.collectFirst(g, 1, TraversalConfig.iTraversal, n)
+    val first = scala.collection.mutable.ArrayBuffer.empty[Solution]
+    ReverseSearch.run(g, 1, TraversalConfig.iTraversal, s => { first += s; first.size < n })
     assert(first.size == n)
     first.foreach(s => assert(Biplex.isMaximalKBiplex(g, 1, s.left, s.right)))
   }

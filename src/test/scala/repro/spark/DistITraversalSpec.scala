@@ -19,9 +19,10 @@ class DistITraversalSpec extends SparkSpec {
     }
   }
 
-  test("the driver seeds the tasks from the run's own H0 (k=2)") {
+  test("a split whose early parts lie inside the run's H0 is exact (k=2)") {
     // H0's left side is {0, 1} in the given order and {0, 2} in the degree
-    // order iTraversal walks (see TraversalSpec).
+    // order iTraversal walks (see TraversalSpec), so only the part that
+    // holds left 1 has a seed outside L0. H0 comes from part 0.
     val g = BipartiteGraph.fromEdges(3, 3, Seq((0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
     val dist = DistITraversal.collectSolutions(spark, g, 2)
     assert(dist == BruteForce.maximalKBiplexes(g, 2))
