@@ -161,10 +161,9 @@ object Experiments {
       val (st1, ms1) = Harness.timed(
         LargeMbp.enumerate(g, k, theta, theta, s => { n1 += 1; true },
           deadlineNanos = Harness.deadline()))
-      // iMB with the same (theta-k)-core pre-reduction (as the paper does).
+      // iMB on the same core-reduced graph (as the paper does).
       var n2 = 0L
-      val (coreL, coreR) = CoreReduction.alphaBetaCore(g, theta - k, theta - k)
-      val (sub, _, _) = g.inducedSubgraph(coreL, coreR)
+      val (sub, _, _) = LargeMbp.core(g, k, theta, theta)
       val (completed, ms2) = Harness.timed(
         IMB.enumerate(sub, k, s => { n2 += 1; true }, theta, theta, Harness.deadline()))
       Seq(name, s"$theta",

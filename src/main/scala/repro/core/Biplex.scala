@@ -3,7 +3,8 @@ package repro.core
 import repro.graph.{BipartiteGraph, VertexSets}
 import scala.collection.mutable
 
-/** k-biplex predicates and deterministic maximal extension.
+/** k-biplex predicates and deterministic maximal extension, outside an
+  * exclusion set when one is given.
   *
   * Notation follows the paper: for a left vertex v and right set R,
   * `dbar(v,R)` is the number of vertices of R that v *disconnects*
@@ -221,6 +222,12 @@ object Biplex {
     * non-increasing as the solution grows, one pass per side yields a
     * maximal result; `leftOnly` extensions preserve R exactly
     * (right-shrinking traversal, Algorithm 2 line 8).
+    *
+    * `excluded`, if not null, marks Algorithm 2's exclusion set X by left
+    * id (X disjoint from L). The left pass then skips X, and the result is
+    * null iff some x ∈ X is still addable to it: an ascending pass would add
+    * the first such x it reaches, since addability only falls as L grows,
+    * so every maximal extension contains a vertex of X.
     */
   def extend(
       g: BipartiteGraph,
@@ -228,30 +235,11 @@ object Biplex {
       l0: Array[Int],
       r0: Array[Int],
       leftOnly: Boolean,
+      excluded: Array[Boolean] = null,
   ): Solution = {
-    val l = extendLeftPass(g, k, l0, r0, null)
-    val r = if (leftOnly) r0 else extendLeftPass(g.flipped, k, r0, l, null)
-    Solution(l, r)
-  }
-
-  /** Left-only extension under the exclusion strategy (Algorithm 2): one
-    * ascending pass over the left vertices outside the exclusion set X,
-    * then a test whether some x ∈ X is still addable to its result (L', R).
-    * If one is, returns None: every maximal extension of (L', R) would then
-    * contain a vertex of X — an ascending pass adds the first such x it
-    * reaches, because addability only falls as L grows. Otherwise (L', R)
-    * is maximal and avoids X. `excluded` marks X by left id; X must be
-    * disjoint from L.
-    */
-  def extendExcluding(
-      g: BipartiteGraph,
-      k: Int,
-      l0: Array[Int],
-      r0: Array[Int],
-      excluded: Array[Boolean],
-  ): Option[Solution] = {
     val l = extendLeftPass(g, k, l0, r0, excluded)
-    if (l == null) None else Some(Solution(l, r0))
+    if (l == null) null
+    else Solution(l, if (leftOnly) r0 else extendLeftPass(g.flipped, k, r0, l, null))
   }
 
   /** One maximal-growing pass over the left candidates, with incremental

@@ -28,10 +28,9 @@ object LargeMbp {
       deadlineNanos: Long = Long.MaxValue,
   ): EnumStats = {
     require(thetaL >= 1 && thetaR >= 1, s"thetas must be positive, got ($thetaL,$thetaR)")
-    val (coreL, coreR) = CoreReduction.alphaBetaCore(g, thetaR - k, thetaL - k)
-    if (coreL.length < thetaL || coreR.length < thetaR)
+    val (sub, backL, backR) = core(g, k, thetaL, thetaR)
+    if (sub.nL < thetaL || sub.nR < thetaR)
       return EnumStats(0, 0, 0, aborted = false)
-    val (sub, backL, backR) = g.inducedSubgraph(coreL, coreR)
     // Two-hop seeding is lossless whenever the right-side threshold
     // exceeds k (every large MBP then has |R| > k). The left side keeps the
     // given order: first-N queries go the other way from complete
@@ -45,5 +44,13 @@ object LargeMbp {
       s => sink(Solution(s.left.map(backL), s.right.map(backR))),
       deadlineNanos,
     )
+  }
+
+  /** The subgraph of g induced by its (θR−k, θL−k)-core, with the maps of
+    * its left and right ids back to g's. Figure 10's iMB column runs on it.
+    */
+  private[repro] def core(g: BipartiteGraph, k: Int, thetaL: Int, thetaR: Int): (BipartiteGraph, Array[Int], Array[Int]) = {
+    val (coreL, coreR) = CoreReduction.alphaBetaCore(g, thetaR - k, thetaL - k)
+    g.inducedSubgraph(coreL, coreR)
   }
 }

@@ -303,29 +303,27 @@ object ReverseSearch {
         maxDepth = math.max(maxDepth, stack.length)
       }
 
-    /** Traverse the link toward the extended solution ext. */
-    def follow(ext: Solution): Unit = {
-      links += 1
-      if (visited.add(ext) && report(ext)) push(ext)
-    }
-
-    /** The link from frame f toward its local solution loc. */
+    /** The link from frame f toward its local solution loc. Every pulled
+      * local solution is right-rejected or a link, so locals = links +
+      * rightRejected; a link is followed iff its extension is non-null, new
+      * and reported.
+      */
     def link(f: Frame, loc: EnumAlmostSat.Local): Unit =
-      // A right seed's local solution is extended on the flipped graph; no
-      // right-shrinking or exclusion test applies to it (bTraversal only).
-      if (f.v < 0) follow(Biplex.extend(g.flipped, k, loc.left, loc.right, leftOnly = false).flip)
       // Right-shrinking traversal (Algorithm 2 line 7): drop local
       // solutions that still admit a vertex from the right universe.
-      else if (cfg.rightShrinking && loc.admitsRight) rightRejected += 1
-      else if (!cfg.exclusion) follow(Biplex.extend(g, k, loc.left, loc.right, leftOnly = cfg.rightShrinking))
-      // loc avoids the exclusion set: f.v is not excluded (seed loop), and
-      // f's left side avoids every vertex excluded at f — those inherited
-      // because the extension toward f avoided them, the rest because its
-      // members are not seeds there. A link whose extension would take in an excluded
-      // vertex is traversed (counted) but not followed.
-      else Biplex.extendExcluding(g, k, loc.left, loc.right, excluded) match {
-        case Some(ext) => follow(ext)
-        case None      => links += 1
+      if (cfg.rightShrinking && loc.admitsRight) rightRejected += 1
+      else {
+        links += 1
+        // A right seed's local solution (bTraversal only) is extended on the
+        // flipped graph. Otherwise loc avoids the exclusion set: f.v is not
+        // excluded (seed loop), and f's left side avoids every vertex
+        // excluded at f — those inherited because the extension toward f
+        // avoided them, the rest because its members are not seeds there. So
+        // extend returns null iff the extension would take in an excluded vertex.
+        val ext =
+          if (f.v < 0) Biplex.extend(g.flipped, k, loc.left, loc.right, leftOnly = false).flip
+          else Biplex.extend(g, k, loc.left, loc.right, leftOnly = cfg.rightShrinking, excluded)
+        if (ext != null && visited.add(ext) && report(ext)) push(ext)
       }
 
     // The DFS in pre-order: a frame's next local solution is linked (and a

@@ -73,7 +73,7 @@ class BiplexSpec extends SparkSpec {
     assert(branches.forall(_ > 0), s"branch counts ${branches.toSeq}")
   }
 
-  test("extendExcluding reports exclusion iff some x ∈ X is addable after the pass outside X") {
+  test("extend with marks returns null iff some x ∈ X is addable after the pass outside X") {
     // Reference first pass: grow (L, R) in ascending id order over the left
     // vertices outside X, by the definition-level addableL.
     val rnd = new Random(1300)
@@ -91,18 +91,21 @@ class BiplexSpec extends SparkSpec {
       val what = s"seed $seed k=$k L=${l.toSeq} R=${r.toSeq} X=${x.toSeq}"
       val marks = new Array[Boolean](g.nL)
       x.foreach(marks(_) = true)
-      Biplex.extendExcluding(g, k, l, r, marks) match {
-        case None =>
-          excluded += 1
-          assert(excludedAddable, s"$what: reported excluded, but no x is addable to ${first.toSeq}")
-        case Some(ext) =>
-          kept += 1
-          assert(!excludedAddable, s"$what: an x is addable to ${first.toSeq}")
-          assert(ext.left.toSeq == first.toSeq && ext.right.toSeq == r.toSeq, s"$what: got $ext")
-          assert(Biplex.isKBiplex(g, k, ext.left, r), what)
-          for (v <- 0 until g.nL if !VertexSets.contains(ext.left, v) && !VertexSets.contains(x, v))
-            assert(!Biplex.addableL(g, k, v, ext.left, r), s"$what: $v still addable to $ext")
+      val ext = Biplex.extend(g, k, l, r, leftOnly = true, marks)
+      if (ext == null) {
+        excluded += 1
+        assert(excludedAddable, s"$what: reported excluded, but no x is addable to ${first.toSeq}")
+      } else {
+        kept += 1
+        assert(!excludedAddable, s"$what: an x is addable to ${first.toSeq}")
+        assert(ext.left.toSeq == first.toSeq && ext.right.toSeq == r.toSeq, s"$what: got $ext")
+        assert(Biplex.isKBiplex(g, k, ext.left, r), what)
+        for (v <- 0 until g.nL if !VertexSets.contains(ext.left, v) && !VertexSets.contains(x, v))
+          assert(!Biplex.addableL(g, k, v, ext.left, r), s"$what: $v still addable to $ext")
       }
+      // No vertex marked: exactly the unmarked extension.
+      assert(Biplex.extend(g, k, l, r, leftOnly = true, new Array[Boolean](g.nL)) ==
+        Biplex.extend(g, k, l, r, leftOnly = true), s"$what: all-false marks")
     }
     assert(excluded > 0 && kept > 0, s"excluded $excluded, kept $kept")
   }

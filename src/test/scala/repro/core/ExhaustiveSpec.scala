@@ -16,7 +16,9 @@ class ExhaustiveSpec extends SparkSpec {
     "iTraversal"              -> TraversalConfig.iTraversal,
     "iTraversal(given order)" -> givenOrder,
     "iTraversal-ES"           -> TraversalConfig.iTraversalNoES,
+    "iTraversal-ES-RS"        -> TraversalConfig.iTraversalNoESNoRS,
     "bTraversal(L20R20)"      -> TraversalConfig.bTraversal.copy(eas = EnumAlmostSat.L20R20),
+    "bTraversal(Inflated)"    -> TraversalConfig.bTraversal,
   )
 
   /** The solutions one run reports, in order; fails on a repeat. */
